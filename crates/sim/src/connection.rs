@@ -25,7 +25,7 @@ use crate::reno::sender::{Sender, SenderConfig, SenderOutput, TimerCmd};
 use crate::rng::SimRng;
 use crate::stats::ConnStats;
 use crate::time::{SimDuration, SimTime};
-use pftk_snap::{frame, unframe, SnapError, SnapReader, SnapResult, SnapWriter};
+use pftk_snap::{frame, unframe_exact, SnapError, SnapReader, SnapResult, SnapWriter};
 
 /// A sender-side wire observer (what `tcpdump` on the sender host records).
 pub trait Observer {
@@ -95,7 +95,7 @@ impl Ev {
 
 /// Frame kind identifying a full connection snapshot (DESIGN.md §13).
 pub const CONN_SNAPSHOT_KIND: u32 = 1;
-/// Newest connection-snapshot format version this build reads and writes.
+/// The connection-snapshot format version this build reads and writes.
 /// v2 added the sender's congestion-control algorithm tag plus
 /// per-variant controller state (CUBIC carries an epoch clock that Reno's
 /// three words don't).
@@ -577,13 +577,15 @@ impl<O: Observer> Connection<O, HybridEngine> {
     /// Applies a snapshot produced by [`Connection::snapshot`] into this
     /// connection, which must have been built with the same configuration
     /// (builder parameters and seed). Shape tags catch mismatched
-    /// configurations ([`SnapError::TagMismatch`]); corrupt or truncated
-    /// bytes fail the frame checksum or a bounds check — never a panic.
+    /// configurations ([`SnapError::TagMismatch`]); a frame of another
+    /// format version is [`SnapError::UnsupportedVersion`]; corrupt or
+    /// truncated bytes fail the frame checksum or a bounds check — never a
+    /// panic.
     ///
     /// On error the connection is left in an unspecified partially-restored
     /// state: rebuild it before further use.
     pub fn restore(&mut self, bytes: &[u8]) -> SnapResult<()> {
-        let framed = unframe(bytes, CONN_SNAPSHOT_VERSION)?;
+        let framed = unframe_exact(bytes, CONN_SNAPSHOT_VERSION)?;
         if framed.kind != CONN_SNAPSHOT_KIND {
             return Err(SnapError::Invalid("not a connection snapshot"));
         }
@@ -1185,6 +1187,27 @@ mod tests {
         let mut ok = fresh();
         ok.restore(&snap).expect("pristine restore");
         assert_eq!(ok.stats(), donor.stats());
+    }
+
+    #[test]
+    fn restore_rejects_an_older_layout_version() {
+        let mut donor = Connection::builder().rtt(0.1).seed(3).build();
+        donor.run_for(secs(5.0));
+        let snap = donor.snapshot().expect("snapshot");
+        let payload = pftk_snap::unframe(&snap, CONN_SNAPSHOT_VERSION)
+            .expect("unframe")
+            .payload;
+        let older = frame(CONN_SNAPSHOT_KIND, CONN_SNAPSHOT_VERSION - 1, payload);
+        let mut target = Connection::builder().rtt(0.1).seed(3).build();
+        assert_eq!(
+            target.restore(&older),
+            Err(SnapError::UnsupportedVersion {
+                found: CONN_SNAPSHOT_VERSION - 1,
+                supported: CONN_SNAPSHOT_VERSION,
+            })
+        );
+        let mut target = Connection::builder().rtt(0.1).seed(3).build();
+        target.restore(&snap).expect("current version restores");
     }
 
     #[test]

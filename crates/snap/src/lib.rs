@@ -42,11 +42,14 @@ pub enum SnapError {
     Truncated,
     /// Framed input did not start with [`MAGIC`].
     BadMagic,
-    /// Frame version is newer than this decoder understands.
+    /// Frame version is one this decoder does not parse: newer than it
+    /// understands ([`unframe`]), or any other than the one it reads
+    /// ([`unframe_exact`]).
     UnsupportedVersion {
         /// Version found in the frame header.
         found: u32,
-        /// Newest version this decoder supports.
+        /// The version (or, for [`unframe`], newest version) this decoder
+        /// reads.
         supported: u32,
     },
     /// Payload bytes do not match the frame's CRC-32.
@@ -79,7 +82,7 @@ impl fmt::Display for SnapError {
             SnapError::UnsupportedVersion { found, supported } => {
                 write!(
                     f,
-                    "snapshot version {found} unsupported (decoder supports <= {supported})"
+                    "snapshot version {found} unsupported (decoder reads {supported})"
                 )
             }
             SnapError::ChecksumMismatch => write!(f, "snapshot checksum mismatch"),
@@ -488,6 +491,21 @@ pub fn unframe(bytes: &[u8], max_version: u32) -> SnapResult<Framed<'_>> {
         version,
         payload,
     })
+}
+
+/// [`unframe`] for a decoder that parses exactly one layout: any frame
+/// version other than `version` — older ones included — is rejected with
+/// [`SnapError::UnsupportedVersion`] instead of being misread as the
+/// current layout.
+pub fn unframe_exact(bytes: &[u8], version: u32) -> SnapResult<Framed<'_>> {
+    let framed = unframe(bytes, version)?;
+    if framed.version != version {
+        return Err(SnapError::UnsupportedVersion {
+            found: framed.version,
+            supported: version,
+        });
+    }
+    Ok(framed)
 }
 
 #[cfg(test)]

@@ -192,6 +192,7 @@ impl Classifier {
         if ack > self.last_ack {
             // Forward progress closes any open timeout sequence.
             if let Some((start, len)) = self.open_to.take() {
+                //~ allow(hot_alloc): one indication per timeout sequence; amortized growth of an output
                 self.out.indications.push(LossIndication {
                     time_ns: start,
                     kind: IndicationKind::Timeout { sequence_len: len },
@@ -218,6 +219,7 @@ impl Classifier {
             && !self.td_consumed
             && self.open_to.is_none()
         {
+            //~ allow(hot_alloc): one indication per fast retransmit; amortized growth of an output
             self.out.indications.push(LossIndication {
                 time_ns,
                 kind: IndicationKind::TripleDuplicate,

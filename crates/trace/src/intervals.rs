@@ -90,6 +90,7 @@ impl IntervalCore {
     pub fn on_send(&mut self, time_ns: u64) {
         let idx = (time_ns / self.interval_ns) as usize;
         if idx >= self.sent.len() {
+            //~ allow(hot_alloc): one counter per elapsed interval; amortized growth of an output
             self.sent.resize(idx + 1, 0);
         }
         self.sent[idx] += 1; //~ allow(hot_panic): resize above guarantees idx is in bounds

@@ -11,11 +11,16 @@
 //! retransmission and the later of (a) the last prior transmission of that
 //! sequence number and (b) the last forward-ACK arrival (the events that
 //! restart a TCP retransmission timer).
+//!
+//! Karn timing and the RTT-vs-flight correlation read the same per-segment
+//! facts, so both run on one shared core: an in-flight window of sent
+//! segments at or above the cumulative ACK, and one log of the RTT samples
+//! the forward ACKs yield.
 
 use crate::record::{Trace, TraceEvent};
-use pftk_snap::{SnapReader, SnapResult, SnapWriter};
+use pftk_snap::{SnapError, SnapReader, SnapResult, SnapWriter};
 use serde::{Deserialize, Serialize};
-use std::collections::BTreeMap;
+use std::collections::VecDeque;
 
 /// RTT/T0 estimates extracted from a trace.
 #[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
@@ -30,141 +35,315 @@ pub struct TimingEstimates {
     pub t0_samples: u64,
 }
 
-/// The incremental Karn RTT / T0 estimator: the streaming core behind
-/// [`estimate_timing`].
+/// One sent sequence number not yet below the cumulative ACK.
+#[derive(Debug, Clone, Copy)]
+struct Slot {
+    seq: u64,
+    /// First transmission: the Karn RTT anchor.
+    first_send_ns: u64,
+    /// Latest transmission: the T0 anchor.
+    last_send_ns: u64,
+    /// Packets in flight when first sent: the correlation's x.
+    flight: u64,
+    /// Never retransmitted, so the ACK covering it is attributable.
+    karn_valid: bool,
+}
+
+/// The in-flight window: one [`Slot`] per sequence number sent and not yet
+/// below the cumulative ACK, sorted by seq.
 ///
-/// Between events it holds O(window) in-flight maps (entries below the
-/// cumulative ACK are pruned on every forward ACK) plus the RTT sample set
-/// — one sample per forward ACK, the irreducible input of the exact
-/// end-of-trace median. Everything else is O(1), so an hour-long
-/// connection can be timed without ever materializing its trace.
+/// New data arrives with `seq >= snd_max`, above every slot, so it appends
+/// at the back; a forward ACK pops the front. Only a retransmission of a
+/// seq with no slot (a salvaged capture's seq jump, or a spurious resend
+/// below the ACK) inserts mid-window. The window is keyed by seq rather
+/// than indexed by `seq − snd_una` because imported captures jump seq
+/// arbitrarily and can ACK past `snd_max`.
 #[derive(Debug, Clone, Default)]
-pub struct KarnCore {
-    /// First-transmission times of not-yet-acked segments; a
-    /// retransmission permanently disqualifies its sequence number.
-    pending: BTreeMap<u64, u64>,
+struct InFlight {
+    slots: VecDeque<Slot>,
+}
+
+impl InFlight {
+    /// Records new data (`seq` above every slot).
+    fn push_new(&mut self, seq: u64, time_ns: u64, flight: u64) {
+        //~ allow(hot_alloc): window deque keeps its high-water capacity; growth amortized O(1)
+        self.slots.push_back(Slot {
+            seq,
+            first_send_ns: time_ns,
+            last_send_ns: time_ns,
+            flight,
+            karn_valid: true,
+        });
+    }
+
+    /// Records a retransmission of `seq` at `time_ns`: Karn-disqualifies
+    /// the seq and returns its previous last transmission, if it has a slot.
+    fn resend(&mut self, seq: u64, time_ns: u64) -> Option<u64> {
+        match self.slots.binary_search_by_key(&seq, |s| s.seq) {
+            Ok(i) => self.slots.get_mut(i).map(|slot| {
+                slot.karn_valid = false;
+                std::mem::replace(&mut slot.last_send_ns, time_ns)
+            }),
+            Err(i) => {
+                //~ allow(hot_alloc): a resent seq without a slot is rare (seq jumps, spurious resends); the deque reuses its capacity
+                self.slots.insert(
+                    i,
+                    Slot {
+                        seq,
+                        first_send_ns: time_ns,
+                        last_send_ns: time_ns,
+                        flight: 0,
+                        karn_valid: false,
+                    },
+                );
+                None
+            }
+        }
+    }
+
+    /// Pops every slot below `ack`; returns how many Karn-valid slots it
+    /// covered and the highest one's `(first send, flight)`.
+    fn pop_acked(&mut self, ack: u64) -> (usize, Option<(u64, u64)>) {
+        let mut covered = 0usize;
+        let mut highest = None;
+        while let Some(front) = self.slots.front() {
+            if front.seq >= ack {
+                break;
+            }
+            if front.karn_valid {
+                covered += 1;
+                highest = Some((front.first_send_ns, front.flight));
+            }
+            self.slots.pop_front();
+        }
+        (covered, highest)
+    }
+
+    fn snapshot_into(&self, w: &mut SnapWriter) {
+        w.put_usize(self.slots.len());
+        for s in &self.slots {
+            w.put_u64(s.seq);
+            w.put_u64(s.first_send_ns);
+            w.put_u64(s.last_send_ns);
+            w.put_u64(s.flight);
+            w.put_bool(s.karn_valid);
+        }
+    }
+
+    fn restore_from(&mut self, r: &mut SnapReader<'_>) -> SnapResult<()> {
+        let n = r.get_usize()?;
+        self.slots.clear();
+        for _ in 0..n {
+            let slot = Slot {
+                seq: r.get_u64()?,
+                first_send_ns: r.get_u64()?,
+                last_send_ns: r.get_u64()?,
+                flight: r.get_u64()?,
+                karn_valid: r.get_bool()?,
+            };
+            if self.slots.back().is_some_and(|b| b.seq >= slot.seq) {
+                return Err(SnapError::Invalid("in-flight window not seq-sorted"));
+            }
+            self.slots.push_back(slot);
+        }
+        Ok(())
+    }
+}
+
+/// One RTT sample as logged.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct Sample {
+    rtt_ns: u64,
+    /// The ACK covered two or more Karn-valid segments.
+    multi: bool,
+    flight: u64,
+}
+
+/// The RTT samples of a connection, in ACK order, as LEB128 varints: per
+/// sample the RTT in ns, then `flight << 1 | multi`.
+///
+/// `finish` needs every sample (an exact median, an exact Pearson
+/// coefficient), so the log grows by one sample per timed forward ACK;
+/// the varints keep a typical sample to five bytes. Floats are formed
+/// only when the estimates are computed.
+#[derive(Debug, Clone, Default)]
+struct RttLog {
+    bytes: Vec<u8>,
+    len: usize,
+    multi: usize,
+}
+
+impl RttLog {
+    fn push(&mut self, s: Sample) {
+        put_varint(&mut self.bytes, u128::from(s.rtt_ns));
+        put_varint(
+            &mut self.bytes,
+            (u128::from(s.flight) << 1) | u128::from(s.multi),
+        );
+        self.len += 1;
+        self.multi += usize::from(s.multi);
+    }
+
+    fn iter(&self) -> impl Iterator<Item = Sample> + '_ {
+        let mut pos = 0;
+        std::iter::from_fn(move || decode_sample(&self.bytes, &mut pos))
+    }
+
+    fn snapshot_into(&self, w: &mut SnapWriter) {
+        w.put_usize(self.len);
+        w.put_bytes(&self.bytes);
+    }
+
+    /// Reads a log written by [`RttLog::snapshot_into`], decoding every
+    /// sample so a malformed log fails here rather than at `finish`.
+    fn restore_from(&mut self, r: &mut SnapReader<'_>) -> SnapResult<()> {
+        let len = r.get_usize()?;
+        let bytes = r.get_bytes()?;
+        let (mut pos, mut n, mut multi) = (0, 0, 0);
+        while pos < bytes.len() {
+            let s = decode_sample(bytes, &mut pos).ok_or(SnapError::Invalid("RTT log sample"))?;
+            n += 1;
+            multi += usize::from(s.multi);
+        }
+        if n != len {
+            return Err(SnapError::Invalid("RTT log length"));
+        }
+        self.bytes.clear();
+        self.bytes.extend_from_slice(bytes);
+        self.len = len;
+        self.multi = multi;
+        Ok(())
+    }
+}
+
+fn put_varint(out: &mut Vec<u8>, mut v: u128) {
+    while v >= 0x80 {
+        //~ allow(cast): the low seven bits of v, with the continuation bit set
+        //~ allow(hot_alloc): RTT log growth; amortized doubling, one sample per timed ACK
+        out.push((v as u8 & 0x7F) | 0x80);
+        v >>= 7;
+    }
+    //~ allow(cast): v < 0x80 here
+    //~ allow(hot_alloc): RTT log growth; amortized doubling, one sample per timed ACK
+    out.push(v as u8);
+}
+
+/// Decodes one varint of at most `max_bits` significant bits.
+fn get_varint(bytes: &[u8], pos: &mut usize, max_bits: u32) -> Option<u128> {
+    let mut v = 0u128;
+    let mut shift = 0;
+    loop {
+        let b = *bytes.get(*pos)?;
+        *pos += 1;
+        if shift >= max_bits {
+            return None;
+        }
+        v |= u128::from(b & 0x7F) << shift;
+        shift += 7;
+        if b & 0x80 == 0 {
+            return (v >> max_bits == 0).then_some(v);
+        }
+    }
+}
+
+fn decode_sample(bytes: &[u8], pos: &mut usize) -> Option<Sample> {
+    let rtt = get_varint(bytes, pos, 64)?;
+    let tail = get_varint(bytes, pos, 65)?;
+    Some(Sample {
+        rtt_ns: u64::try_from(rtt).ok()?,
+        multi: tail & 1 == 1,
+        flight: u64::try_from(tail >> 1).ok()?,
+    })
+}
+
+/// The state Karn timing and the RTT-vs-flight correlation share: one
+/// in-flight window, one RTT log, and the T0 anchoring state.
+///
+/// Between events it holds the O(window) in-flight slots (popped on every
+/// forward ACK) plus the RTT log. Everything else is O(1), so an hour-long
+/// connection can be timed without ever materializing its trace.
+/// [`KarnCore`] and [`CorrCore`] are this core with one finisher each;
+/// [`crate::stream::StreamAnalyzer`] drives a single one for both.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct RttCore {
+    window: InFlight,
     snd_max: u64,
     last_ack: u64,
-    /// Samples tagged with how many segments the ACK covered: delayed-ACK
-    /// receivers hold an odd final segment for the delack timer (~200 ms),
-    /// inflating single-cover samples; when the trace shows delayed acking
-    /// (a substantial share of multi-cover ACKs), single-cover samples are
-    /// discarded at [`KarnCore::finish`].
-    samples: Vec<(f64, usize)>,
-    /// Last transmission time per in-flight seq — what T0 anchoring needs.
-    last_send_of: BTreeMap<u64, u64>,
+    log: RttLog,
     last_progress_ns: Option<u64>,
     in_to_sequence: bool,
     t0_sum: f64,
     t0_n: u64,
 }
 
-impl KarnCore {
-    /// A fresh estimator.
-    pub fn new() -> Self {
-        KarnCore::default()
-    }
-
+impl RttCore {
     /// Consumes one data-segment departure.
-    pub fn on_send(&mut self, time_ns: u64, seq: u64) {
+    pub(crate) fn sent(&mut self, time_ns: u64, seq: u64) {
         if seq >= self.snd_max {
             self.snd_max = seq + 1;
-            self.pending.insert(seq, time_ns);
-        } else {
-            // Retransmission: Karn-disqualify this sequence.
-            self.pending.remove(&seq);
-            if !self.in_to_sequence {
-                // First retransmission since last progress: if it is
-                // a timeout (no way to tell TD vs TO here without
-                // the classifier; T0 sampling accepts the small TD
-                // contamination the same way trace tools do — the
-                // gap for a fast retransmit is ≈RTT and for a
-                // timeout ≈RTO, so downstream users combine this
-                // with the classifier; see `estimate_t0_classified`).
-                let anchor = self
-                    .last_send_of
-                    .get(&seq)
-                    .copied()
-                    .into_iter()
-                    .chain(self.last_progress_ns)
-                    .max();
-                if let Some(anchor) = anchor {
-                    if time_ns > anchor {
-                        self.t0_sum += (time_ns - anchor) as f64 / 1e9;
-                        self.t0_n += 1;
-                    }
-                }
-                self.in_to_sequence = true;
-            }
+            // Saturating: a salvaged/corrupt capture can carry an ACK
+            // beyond anything sent, leaving `last_ack > snd_max` — flight
+            // clamps to 0 there instead of underflowing.
+            let flight = self.snd_max.saturating_sub(self.last_ack);
+            self.window.push_new(seq, time_ns, flight);
+            return;
         }
-        self.last_send_of.insert(seq, time_ns);
+        // Retransmission: Karn-disqualify this sequence.
+        let prior = self.window.resend(seq, time_ns);
+        if !self.in_to_sequence {
+            // First retransmission since last progress: if it is a
+            // timeout (no way to tell TD vs TO here without the
+            // classifier; T0 sampling accepts the small TD contamination
+            // the same way trace tools do — the gap for a fast retransmit
+            // is ≈RTT and for a timeout ≈RTO, so downstream users combine
+            // this with the classifier; see `estimate_t0_classified`).
+            if let Some(anchor) = prior.into_iter().chain(self.last_progress_ns).max() {
+                if time_ns > anchor {
+                    self.t0_sum += (time_ns - anchor) as f64 / 1e9;
+                    self.t0_n += 1;
+                }
+            }
+            self.in_to_sequence = true;
+        }
     }
 
     /// Consumes one ACK arrival.
-    pub fn on_ack(&mut self, time_ns: u64, ack: u64) {
-        if ack > self.last_ack {
-            self.last_ack = ack;
-            self.last_progress_ns = Some(time_ns);
-            self.in_to_sequence = false;
-            // Sample the *highest* newly covered segment: with
-            // delayed ACKs its send→ack gap is the cleanest RTT
-            // (lower segments include the delayed-ACK hold). Covered
-            // entries are popped in place — this runs per ACK on the
-            // streaming hot path, so no scratch allocation.
-            let mut covered = 0usize;
-            let mut highest_sent = None;
-            while let Some(entry) = self.pending.first_entry() {
-                if *entry.key() >= ack {
-                    break;
-                }
-                covered += 1;
-                highest_sent = Some(entry.remove());
+    pub(crate) fn acked(&mut self, time_ns: u64, ack: u64) {
+        if ack <= self.last_ack {
+            return;
+        }
+        self.last_ack = ack;
+        self.last_progress_ns = Some(time_ns);
+        self.in_to_sequence = false;
+        // Sample the *highest* newly covered Karn-valid segment: with
+        // delayed ACKs its send→ack gap is the cleanest RTT (lower
+        // segments include the delayed-ACK hold). Popping every slot below
+        // the ACK, valid or not, keeps the window O(in flight): an acked
+        // sequence's last send happened at or before this ACK, so a later
+        // (spurious) retransmit of it anchors on `last_progress_ns` either
+        // way.
+        let (covered, highest) = self.window.pop_acked(ack);
+        if let Some((sent, flight)) = highest {
+            if time_ns > sent {
+                self.log.push(Sample {
+                    rtt_ns: time_ns - sent,
+                    multi: covered >= 2,
+                    flight,
+                });
             }
-            if let Some(sent) = highest_sent {
-                if time_ns > sent {
-                    self.samples.push(((time_ns - sent) as f64 / 1e9, covered));
-                }
-            }
-            // Prune every anchor below the cumulative ACK, not only the
-            // pending ones: an acked sequence's last send happened at or
-            // before this ACK's arrival, so a later (spurious) retransmit
-            // of it anchors on `last_progress_ns` either way — the max is
-            // unchanged while the map stays O(window) instead of leaking
-            // one entry per retransmitted sequence for the whole trace.
-            self.last_send_of = self.last_send_of.split_off(&ack);
         }
     }
 
-    /// Entry counts of the retained state `(pending, last_send_of,
-    /// rtt_samples)` — the inputs to streaming memory accounting.
-    pub fn state_len(&self) -> (usize, usize, usize) {
-        (
-            self.pending.len(),
-            self.last_send_of.len(),
-            self.samples.len(),
-        )
+    /// Estimated bytes of retained state: the window slots and the log.
+    pub(crate) fn state_bytes(&self) -> usize {
+        self.window.slots.len() * std::mem::size_of::<Slot>() + self.log.bytes.len()
     }
 
-    /// Writes the estimator's full state. `BTreeMap` iteration is key-
-    /// ascending, so the byte encoding is a pure function of the contents.
     pub(crate) fn snapshot_into(&self, w: &mut SnapWriter) {
-        w.put_usize(self.pending.len());
-        for (seq, sent) in &self.pending {
-            w.put_u64(*seq);
-            w.put_u64(*sent);
-        }
+        self.window.snapshot_into(w);
         w.put_u64(self.snd_max);
         w.put_u64(self.last_ack);
-        w.put_usize(self.samples.len());
-        for (rtt, covered) in &self.samples {
-            w.put_f64(*rtt);
-            w.put_usize(*covered);
-        }
-        w.put_usize(self.last_send_of.len());
-        for (seq, sent) in &self.last_send_of {
-            w.put_u64(*seq);
-            w.put_u64(*sent);
-        }
+        self.log.snapshot_into(w);
         match self.last_progress_ns {
             Some(t) => {
                 w.put_bool(true);
@@ -177,31 +356,12 @@ impl KarnCore {
         w.put_u64(self.t0_n);
     }
 
-    /// Reads state written by [`KarnCore::snapshot_into`].
+    /// Reads state written by [`RttCore::snapshot_into`].
     pub(crate) fn restore_from(&mut self, r: &mut SnapReader<'_>) -> SnapResult<()> {
-        let n = r.get_usize()?;
-        self.pending.clear();
-        for _ in 0..n {
-            let seq = r.get_u64()?;
-            let sent = r.get_u64()?;
-            self.pending.insert(seq, sent);
-        }
+        self.window.restore_from(r)?;
         self.snd_max = r.get_u64()?;
         self.last_ack = r.get_u64()?;
-        let n = r.get_usize()?;
-        self.samples.clear();
-        for _ in 0..n {
-            let rtt = r.get_f64()?;
-            let covered = r.get_usize()?;
-            self.samples.push((rtt, covered));
-        }
-        let n = r.get_usize()?;
-        self.last_send_of.clear();
-        for _ in 0..n {
-            let seq = r.get_u64()?;
-            let sent = r.get_u64()?;
-            self.last_send_of.insert(seq, sent);
-        }
+        self.log.restore_from(r)?;
         self.last_progress_ns = if r.get_bool()? {
             Some(r.get_u64()?)
         } else {
@@ -213,15 +373,18 @@ impl KarnCore {
         Ok(())
     }
 
-    /// Closes the estimator and computes the estimates.
-    pub fn finish(self) -> TimingEstimates {
-        let multi = self.samples.iter().filter(|(_, c)| *c >= 2).count();
-        let delayed_acking = multi * 3 >= self.samples.len(); // ≥1/3 multi-cover ACKs
+    /// Karn RTT (median of the samples) and T0 estimates.
+    pub(crate) fn timing(&self) -> TimingEstimates {
+        // Delayed-ACK receivers hold an odd final segment for the delack
+        // timer (~200 ms), inflating single-cover samples; when the trace
+        // shows delayed acking (≥1/3 multi-cover ACKs), single-cover
+        // samples are discarded.
+        let delayed_acking = self.log.multi * 3 >= self.log.len;
         let mut kept: Vec<f64> = self
-            .samples
+            .log
             .iter()
-            .filter(|(_, c)| !delayed_acking || *c >= 2)
-            .map(|(r, _)| *r)
+            .filter(|s| !delayed_acking || s.multi)
+            .map(|s| s.rtt_ns as f64 / 1e9)
             .collect();
         // Robust location: the median. Two artifacts pollute the sample set —
         // delack-timer ACKs add the delayed-ACK hold (filtered above when the
@@ -241,6 +404,46 @@ impl KarnCore {
             mean_t0: (self.t0_n > 0).then(|| self.t0_sum / self.t0_n as f64),
             t0_samples: self.t0_n,
         }
+    }
+
+    /// Pearson coefficient of RTT against flight size at send, or `None`
+    /// with fewer than two samples or zero variance.
+    pub(crate) fn correlation(&self) -> Option<f64> {
+        let (xs, ys): (Vec<f64>, Vec<f64>) = self
+            .log
+            .iter()
+            .map(|s| (s.flight as f64, s.rtt_ns as f64 / 1e9))
+            .unzip();
+        pearson(&xs, &ys)
+    }
+}
+
+/// The incremental Karn RTT / T0 estimator: the streaming core behind
+/// [`estimate_timing`]. State as in the shared RTT core: O(window) in-flight
+/// slots plus one logged sample per timed forward ACK — the irreducible
+/// input of the exact end-of-trace median.
+#[derive(Debug, Clone, Default)]
+pub struct KarnCore(RttCore);
+
+impl KarnCore {
+    /// A fresh estimator.
+    pub fn new() -> Self {
+        KarnCore::default()
+    }
+
+    /// Consumes one data-segment departure.
+    pub fn on_send(&mut self, time_ns: u64, seq: u64) {
+        self.0.sent(time_ns, seq);
+    }
+
+    /// Consumes one ACK arrival.
+    pub fn on_ack(&mut self, time_ns: u64, ack: u64) {
+        self.0.acked(time_ns, ack);
+    }
+
+    /// Closes the estimator and computes the estimates.
+    pub fn finish(self) -> TimingEstimates {
+        self.0.timing()
     }
 }
 
@@ -268,8 +471,9 @@ pub fn estimate_t0_classified(trace: &Trace, timeout_start_times: &[u64]) -> Opt
     if timeout_start_times.is_empty() {
         return None;
     }
-    let starts: std::collections::BTreeSet<u64> = timeout_start_times.iter().copied().collect();
-    let mut last_send_of: BTreeMap<u64, u64> = BTreeMap::new();
+    let mut starts = timeout_start_times.to_vec();
+    starts.sort_unstable();
+    let mut window = InFlight::default();
     let mut last_progress_ns: Option<u64> = None;
     let mut last_ack: u64 = 0;
     let mut snd_max: u64 = 0;
@@ -280,26 +484,24 @@ pub fn estimate_t0_classified(trace: &Trace, timeout_start_times: &[u64]) -> Opt
             TraceEvent::Send { seq, .. } => {
                 if seq >= snd_max {
                     snd_max = seq + 1;
-                } else if starts.contains(&rec.time_ns) {
-                    let anchor = last_send_of
-                        .get(&seq)
-                        .copied()
-                        .into_iter()
-                        .chain(last_progress_ns)
-                        .max();
-                    if let Some(anchor) = anchor {
+                    window.push_new(seq, rec.time_ns, 0);
+                    continue;
+                }
+                let prior = window.resend(seq, rec.time_ns);
+                if starts.binary_search(&rec.time_ns).is_ok() {
+                    if let Some(anchor) = prior.into_iter().chain(last_progress_ns).max() {
                         if rec.time_ns > anchor {
                             sum += (rec.time_ns - anchor) as f64 / 1e9;
                             n += 1;
                         }
                     }
                 }
-                last_send_of.insert(seq, rec.time_ns);
             }
             TraceEvent::AckIn { ack } => {
                 if ack > last_ack {
                     last_ack = ack;
                     last_progress_ns = Some(rec.time_ns);
+                    window.pop_acked(ack);
                 }
             }
         }
@@ -308,22 +510,10 @@ pub fn estimate_t0_classified(trace: &Trace, timeout_start_times: &[u64]) -> Opt
 }
 
 /// The incremental RTT-vs-flight correlator: the streaming core behind
-/// [`rtt_window_correlation`].
-///
-/// O(window) in-flight map plus two sample vectors (one point per forward
-/// ACK — the irreducible input of the exact end-of-trace Pearson
-/// coefficient).
+/// [`rtt_window_correlation`]. Its RTT samples are exactly Karn's, so it is
+/// the same core as [`KarnCore`] with a different finisher.
 #[derive(Debug, Clone, Default)]
-pub struct CorrCore {
-    /// seq → (send time, flight size at send).
-    pending: BTreeMap<u64, (u64, u64)>,
-    snd_max: u64,
-    last_ack: u64,
-    /// Flight sizes.
-    xs: Vec<f64>,
-    /// RTT samples, seconds.
-    ys: Vec<f64>,
-}
+pub struct CorrCore(RttCore);
 
 impl CorrCore {
     /// A fresh correlator.
@@ -333,95 +523,18 @@ impl CorrCore {
 
     /// Consumes one data-segment departure.
     pub fn on_send(&mut self, time_ns: u64, seq: u64) {
-        if seq >= self.snd_max {
-            self.snd_max = seq + 1;
-            // Saturating: a salvaged/corrupt capture can carry an ACK
-            // beyond anything sent, leaving `last_ack > snd_max` — flight
-            // clamps to 0 there instead of underflowing.
-            let flight = self.snd_max.saturating_sub(self.last_ack);
-            self.pending.insert(seq, (time_ns, flight));
-        } else {
-            self.pending.remove(&seq); // Karn
-        }
+        self.0.sent(time_ns, seq);
     }
 
     /// Consumes one ACK arrival.
     pub fn on_ack(&mut self, time_ns: u64, ack: u64) {
-        if ack > self.last_ack {
-            self.last_ack = ack;
-            // Pop covered entries in place (per-ACK hot path: no
-            // scratch allocation); the last one popped is the highest
-            // newly covered segment, the one worth timing.
-            let mut last = None;
-            while let Some(entry) = self.pending.first_entry() {
-                if *entry.key() >= ack {
-                    break;
-                }
-                last = Some(entry.remove());
-            }
-            if let Some((sent, flight)) = last {
-                if time_ns > sent {
-                    self.xs.push(flight as f64);
-                    self.ys.push((time_ns - sent) as f64 / 1e9);
-                }
-            }
-        }
-    }
-
-    /// Entry counts of the retained state `(pending, samples)` — the
-    /// inputs to streaming memory accounting.
-    pub fn state_len(&self) -> (usize, usize) {
-        (self.pending.len(), self.xs.len())
-    }
-
-    /// Writes the correlator's full state (one length prefix covers both
-    /// sample vectors — they grow in lock step).
-    pub(crate) fn snapshot_into(&self, w: &mut SnapWriter) {
-        w.put_usize(self.pending.len());
-        for (seq, (sent, flight)) in &self.pending {
-            w.put_u64(*seq);
-            w.put_u64(*sent);
-            w.put_u64(*flight);
-        }
-        w.put_u64(self.snd_max);
-        w.put_u64(self.last_ack);
-        w.put_usize(self.xs.len());
-        for x in &self.xs {
-            w.put_f64(*x);
-        }
-        for y in &self.ys {
-            w.put_f64(*y);
-        }
-    }
-
-    /// Reads state written by [`CorrCore::snapshot_into`].
-    pub(crate) fn restore_from(&mut self, r: &mut SnapReader<'_>) -> SnapResult<()> {
-        let n = r.get_usize()?;
-        self.pending.clear();
-        for _ in 0..n {
-            let seq = r.get_u64()?;
-            let sent = r.get_u64()?;
-            let flight = r.get_u64()?;
-            self.pending.insert(seq, (sent, flight));
-        }
-        self.snd_max = r.get_u64()?;
-        self.last_ack = r.get_u64()?;
-        let n = r.get_usize()?;
-        self.xs.clear();
-        self.ys.clear();
-        for _ in 0..n {
-            self.xs.push(r.get_f64()?);
-        }
-        for _ in 0..n {
-            self.ys.push(r.get_f64()?);
-        }
-        Ok(())
+        self.0.acked(time_ns, ack);
     }
 
     /// Closes the correlator: Pearson coefficient, or `None` with fewer
     /// than two samples or zero variance.
     pub fn finish(self) -> Option<f64> {
-        pearson(&self.xs, &self.ys)
+        self.0.correlation()
     }
 }
 

@@ -67,6 +67,13 @@ impl Trace {
         Trace::default()
     }
 
+    /// An empty trace with room for `records` records.
+    pub fn with_capacity(records: usize) -> Self {
+        Trace {
+            records: Vec::with_capacity(records),
+        }
+    }
+
     /// Appends a record. Records must be pushed in nondecreasing time order
     /// (they come from a monotone simulation clock); this is checked.
     pub fn push(&mut self, record: TraceRecord) {

@@ -11,9 +11,10 @@
 //!
 //! * [`Classifier`] — TD/TO classification
 //!   (O(1) automaton state + the emitted indications),
-//! * [`KarnCore`] — Karn RTT / T0 estimation
-//!   (O(window) in-flight maps + one sample per forward ACK),
-//! * [`CorrCore`] — RTT-vs-flight correlation,
+//! * [`KarnCore`](crate::karn::KarnCore) — Karn RTT / T0 estimation
+//!   (O(window) in-flight slots + one logged sample per timed forward ACK),
+//! * [`CorrCore`](crate::karn::CorrCore) — RTT-vs-flight correlation
+//!   (the same samples: the analyzer runs one window and log for both),
 //! * [`IntervalCore`] — per-interval send
 //!   counts (one `u64` per elapsed interval).
 //!
@@ -32,16 +33,18 @@
 
 use crate::analyzer::{Analysis, AnalyzerConfig, Classifier, LossIndication};
 use crate::intervals::{IntervalCore, IntervalStats};
-use crate::karn::{CorrCore, KarnCore, TimingEstimates};
+use crate::karn::{RttCore, TimingEstimates};
 use crate::log::TraceLog;
 use crate::record::{Trace, TraceEvent, TraceRecord};
-use pftk_snap::{frame, unframe, SnapError, SnapReader, SnapResult, SnapWriter};
+use pftk_snap::{frame, unframe_exact, SnapError, SnapReader, SnapResult, SnapWriter};
 use serde::{Deserialize, Serialize};
 
 /// Frame kind identifying a streaming-analyzer snapshot (DESIGN.md §13).
 pub const STREAM_SNAPSHOT_KIND: u32 = 2;
-/// Newest analyzer-snapshot format version this build reads and writes.
-pub const STREAM_SNAPSHOT_VERSION: u32 = 1;
+/// The analyzer-snapshot format version this build reads and writes.
+/// v2 replaced the Karn and correlation cores' maps and sample vectors
+/// with one in-flight window and one varint RTT log (DESIGN.md §13.1).
+pub const STREAM_SNAPSHOT_VERSION: u32 = 2;
 
 /// A consumer of sender-side wire events, fed in nondecreasing time order.
 ///
@@ -178,8 +181,8 @@ impl StreamAnalysis {
 pub struct StreamAnalyzer {
     config: StreamConfig,
     classifier: Classifier,
-    karn: Option<KarnCore>,
-    corr: Option<CorrCore>,
+    /// The Karn/correlation window and RTT log, when either is enabled.
+    rtt: Option<RttCore>,
     intervals: Option<IntervalCore>,
     interval_secs: Option<f64>,
     events: u64,
@@ -193,8 +196,7 @@ impl StreamAnalyzer {
         StreamAnalyzer {
             config,
             classifier: Classifier::new(config.analyzer),
-            karn: config.timing.then(KarnCore::new),
-            corr: config.correlation.then(CorrCore::new),
+            rtt: (config.timing || config.correlation).then(RttCore::default),
             intervals: config.interval_secs.map(IntervalCore::new),
             interval_secs: config.interval_secs,
             events: 0,
@@ -220,7 +222,7 @@ impl StreamAnalyzer {
     }
 
     /// Estimated bytes of retained analysis state right now: per-entry
-    /// payload sizes of the in-flight maps, sample vectors, emitted
+    /// payload sizes of the in-flight window, the RTT log, emitted
     /// indications, and interval counters (container overhead excluded —
     /// this is the scaling term, and the asserted memory ceilings leave
     /// headroom for the constant factors).
@@ -228,15 +230,8 @@ impl StreamAnalyzer {
         use std::mem::size_of;
         let mut bytes = size_of::<Self>();
         bytes += std::mem::size_of_val(self.classifier.indications());
-        if let Some(karn) = &self.karn {
-            let (pending, last_send, samples) = karn.state_len();
-            bytes += (pending + last_send) * size_of::<(u64, u64)>();
-            bytes += samples * size_of::<(f64, usize)>();
-        }
-        if let Some(corr) = &self.corr {
-            let (pending, samples) = corr.state_len();
-            bytes += pending * size_of::<(u64, (u64, u64))>();
-            bytes += samples * 2 * size_of::<f64>();
+        if let Some(rtt) = &self.rtt {
+            bytes += rtt.state_bytes();
         }
         if let Some(iv) = &self.intervals {
             bytes += iv.state_len() * size_of::<u64>();
@@ -272,19 +267,10 @@ impl StreamAnalyzer {
         // buffer almost never reallocates mid-encode.
         let mut w = SnapWriter::with_capacity(self.state_bytes() + 1024);
         self.classifier.snapshot_into(&mut w);
-        match &self.karn {
-            Some(core) => {
-                w.put_bool(true);
-                core.snapshot_into(&mut w);
-            }
-            None => w.put_bool(false),
-        }
-        match &self.corr {
-            Some(core) => {
-                w.put_bool(true);
-                core.snapshot_into(&mut w);
-            }
-            None => w.put_bool(false),
+        w.put_bool(self.config.timing);
+        w.put_bool(self.config.correlation);
+        if let Some(core) = &self.rtt {
+            core.snapshot_into(&mut w);
         }
         match &self.intervals {
             Some(core) => {
@@ -305,40 +291,33 @@ impl StreamAnalyzer {
 
     /// Applies a snapshot produced by [`StreamAnalyzer::snapshot`] into
     /// this analyzer, which must have been built with the same
-    /// [`StreamConfig`] (mismatches are [`SnapError::TagMismatch`];
+    /// [`StreamConfig`] (mismatches are [`SnapError::TagMismatch`]; a
+    /// frame of another format version is [`SnapError::UnsupportedVersion`];
     /// corrupt or truncated bytes error, never panic). On error the
     /// analyzer is left in an unspecified partially-restored state:
     /// rebuild it before further use.
     pub fn restore(&mut self, bytes: &[u8]) -> SnapResult<()> {
-        let framed = unframe(bytes, STREAM_SNAPSHOT_VERSION)?;
+        let framed = unframe_exact(bytes, STREAM_SNAPSHOT_VERSION)?;
         if framed.kind != STREAM_SNAPSHOT_KIND {
             return Err(SnapError::Invalid("not an analyzer snapshot"));
         }
         let mut r = SnapReader::new(framed.payload);
         self.classifier.restore_from(&mut r)?;
-        let karn_present = r.get_bool()?;
-        match (&mut self.karn, karn_present) {
-            (Some(core), true) => core.restore_from(&mut r)?,
-            (None, false) => {}
-            (target, found) => {
+        for (context, enabled) in [
+            ("karn-presence", self.config.timing),
+            ("corr-presence", self.config.correlation),
+        ] {
+            let found = r.get_bool()?;
+            if found != enabled {
                 return Err(SnapError::TagMismatch {
-                    context: "karn-presence",
-                    expected: u64::from(target.is_some()),
+                    context,
+                    expected: u64::from(enabled),
                     found: u64::from(found),
                 });
             }
         }
-        let corr_present = r.get_bool()?;
-        match (&mut self.corr, corr_present) {
-            (Some(core), true) => core.restore_from(&mut r)?,
-            (None, false) => {}
-            (target, found) => {
-                return Err(SnapError::TagMismatch {
-                    context: "corr-presence",
-                    expected: u64::from(target.is_some()),
-                    found: u64::from(found),
-                });
-            }
+        if let Some(core) = &mut self.rtt {
+            core.restore_from(&mut r)?;
         }
         let intervals_present = r.get_bool()?;
         match (&mut self.intervals, intervals_present) {
@@ -380,9 +359,12 @@ impl StreamAnalyzer {
         let intervals = self
             .intervals
             .map(|core| core.finish(&analysis.indications, horizon));
+        let rtt = self.rtt.as_ref();
         StreamAnalysis {
-            timing: self.karn.map(KarnCore::finish),
-            rtt_window_corr: self.corr.and_then(CorrCore::finish),
+            timing: rtt.filter(|_| self.config.timing).map(RttCore::timing),
+            rtt_window_corr: rtt
+                .filter(|_| self.config.correlation)
+                .and_then(RttCore::correlation),
             intervals,
             interval_secs: self.interval_secs,
             analysis,
@@ -398,11 +380,8 @@ impl TraceSink for StreamAnalyzer {
         // like the batch classifier, it re-infers retransmissions from
         // sequence repetition, as a real trace analyzer must.
         self.classifier.on_send(time_ns, seq);
-        if let Some(karn) = &mut self.karn {
-            karn.on_send(time_ns, seq);
-        }
-        if let Some(corr) = &mut self.corr {
-            corr.on_send(time_ns, seq);
+        if let Some(rtt) = &mut self.rtt {
+            rtt.sent(time_ns, seq);
         }
         if let Some(iv) = &mut self.intervals {
             iv.on_send(time_ns);
@@ -412,11 +391,8 @@ impl TraceSink for StreamAnalyzer {
 
     fn on_ack_in(&mut self, time_ns: u64, ack: u64) {
         self.classifier.on_ack(time_ns, ack);
-        if let Some(karn) = &mut self.karn {
-            karn.on_ack(time_ns, ack);
-        }
-        if let Some(corr) = &mut self.corr {
-            corr.on_ack(time_ns, ack);
+        if let Some(rtt) = &mut self.rtt {
+            rtt.acked(time_ns, ack);
         }
         self.note_event(time_ns);
     }
@@ -817,6 +793,86 @@ mod tests {
             );
             assert_eq!(a, whole, "cut at record {cut} diverged from whole run");
         }
+    }
+
+    #[test]
+    fn restore_rejects_an_older_layout_version() {
+        let mut donor = StreamAnalyzer::new(StreamConfig::default());
+        for rec in eventful_trace().records() {
+            donor.on_record(rec);
+        }
+        let snap = donor.snapshot();
+        let payload = pftk_snap::unframe(&snap, STREAM_SNAPSHOT_VERSION)
+            .expect("unframe")
+            .payload;
+        let older = frame(STREAM_SNAPSHOT_KIND, STREAM_SNAPSHOT_VERSION - 1, payload);
+        assert_eq!(
+            StreamAnalyzer::new(StreamConfig::default()).restore(&older),
+            Err(SnapError::UnsupportedVersion {
+                found: STREAM_SNAPSHOT_VERSION - 1,
+                supported: STREAM_SNAPSHOT_VERSION,
+            })
+        );
+        StreamAnalyzer::new(StreamConfig::default())
+            .restore(&snap)
+            .expect("current version restores");
+    }
+
+    #[test]
+    fn restore_rejects_a_malformed_rtt_log() {
+        // A valid frame whose window is out of seq order, then one whose
+        // log length disagrees with its bytes: both are invalid, not
+        // misread. Built by hand, so the CRC is right and only the
+        // decoder's own checks stand between the bytes and the analyzer.
+        let cfg = StreamConfig {
+            interval_secs: None,
+            ..StreamConfig::default()
+        };
+        let encode = |slots: &[u64], log_len: usize, log: &[u8]| {
+            let mut w = SnapWriter::new();
+            Classifier::new(cfg.analyzer).snapshot_into(&mut w);
+            w.put_bool(true);
+            w.put_bool(true);
+            w.put_usize(slots.len());
+            for &seq in slots {
+                for v in [seq, 0, 0, 1] {
+                    w.put_u64(v);
+                }
+                w.put_bool(true);
+            }
+            w.put_u64(10); // snd_max
+            w.put_u64(0); // last_ack
+            w.put_usize(log_len);
+            w.put_bytes(log);
+            w.put_bool(false);
+            w.put_bool(false);
+            w.put_f64(0.0);
+            w.put_u64(0);
+            w.put_bool(false); // intervals
+            w.put_u64(0);
+            w.put_u64(0);
+            w.put_usize(0);
+            frame(
+                STREAM_SNAPSHOT_KIND,
+                STREAM_SNAPSHOT_VERSION,
+                &w.into_bytes(),
+            )
+        };
+        let restore = |bytes: &[u8]| StreamAnalyzer::new(cfg).restore(bytes);
+        assert_eq!(restore(&encode(&[1, 2], 1, &[5, 2])), Ok(()));
+        assert!(matches!(
+            restore(&encode(&[2, 1], 1, &[5, 2])),
+            Err(SnapError::Invalid(_))
+        ));
+        assert!(matches!(
+            restore(&encode(&[1, 2], 2, &[5, 2])),
+            Err(SnapError::Invalid(_))
+        ));
+        // A varint cut short: its continuation bit runs off the end.
+        assert!(matches!(
+            restore(&encode(&[1, 2], 1, &[5, 0x82])),
+            Err(SnapError::Invalid(_))
+        ));
     }
 
     #[test]

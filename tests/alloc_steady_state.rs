@@ -16,6 +16,12 @@
 //! allocation-free too (SoA arenas are fixed at construction; the event
 //! wheel's ring slots and overflow heap recycle their high-water
 //! capacity).
+//!
+//! The streaming analyzer is pinned the same way, one step looser: its RTT
+//! log, loss indications and interval counters are outputs that grow with
+//! the connection, so after warm-up it may allocate only as amortized
+//! doubling of those three buffers — O(log n) times over n events, never
+//! once per ACK.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -29,6 +35,7 @@ use padhye_tcp_repro::sim::reno::sender::SenderConfig;
 use padhye_tcp_repro::sim::rounds::RoundsConfig;
 use padhye_tcp_repro::sim::time::{SimDuration, SimTime};
 use padhye_tcp_repro::testbed::TraceRecorder;
+use padhye_tcp_repro::trace::stream::{StreamAnalyzer, StreamConfig, TraceSink};
 
 /// System allocator with an allocation counter in front.
 ///
@@ -191,4 +198,61 @@ fn warm_fleet_shard_does_not_allocate() {
         after - before,
         in_window
     );
+}
+
+/// Feeds `cycles` flights of eight segments, each acked 200 ms after it
+/// left, with a fast retransmit every 50th flight and a timeout every
+/// 500th; returns the events fed.
+fn feed_flights(a: &mut StreamAnalyzer, first: u64, cycles: u64) -> u64 {
+    const MS: u64 = 1_000_000;
+    let mut events = 0;
+    for c in first..first + cycles {
+        let (base, seq) = (c * 1_000 * MS, c * 8);
+        for k in 0..8 {
+            a.on_send(base + k * MS, seq + k, false);
+        }
+        events += 8;
+        if c % 500 == 499 {
+            a.on_send(base + 900 * MS, seq, true);
+            events += 1;
+        } else if c % 50 == 49 {
+            for k in 0..3 {
+                a.on_ack_in(base + (200 + k) * MS, seq);
+            }
+            a.on_send(base + 210 * MS, seq, true);
+            events += 4;
+        }
+        a.on_ack_in(base + 950 * MS, seq + 8);
+        events += 1;
+    }
+    events
+}
+
+#[test]
+fn warm_stream_analyzer_allocates_only_log_growth() {
+    let mut a = StreamAnalyzer::new(StreamConfig::default());
+    let warm = feed_flights(&mut a, 0, 2_000);
+
+    COUNTING.with(|c| c.set(true));
+    //~ allow(relaxed_atomic): reads a counter only this thread bumps
+    let before = ALLOCATIONS.load(Ordering::Relaxed);
+    let events = feed_flights(&mut a, 2_000, 12_000);
+    //~ allow(relaxed_atomic): reads a counter only this thread bumps
+    let after = ALLOCATIONS.load(Ordering::Relaxed);
+    COUNTING.with(|c| c.set(false));
+
+    assert!(events >= 100_000, "degenerate window: only {events} events");
+    let total = warm + events;
+    let log2 = u64::from(u64::BITS - total.leading_zeros());
+    // Three growing buffers, each doubling at most log2(n) times.
+    assert!(
+        after - before <= 3 * log2,
+        "warm stream analyzer allocated {} times over {events} events; \
+         only amortized growth of its RTT log, indications and interval \
+         counters (at most {} doublings) is allowed",
+        after - before,
+        3 * log2
+    );
+    let done = a.finish(None);
+    assert!(done.timing.is_some_and(|t| t.rtt_samples > 10_000));
 }
