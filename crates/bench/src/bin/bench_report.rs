@@ -23,7 +23,7 @@ use tcp_testbed::{
 };
 use tcp_trace::analyzer::{analyze, AnalyzerConfig};
 use tcp_trace::record::Trace;
-use tcp_trace::stream::{StreamAnalyzer, StreamConfig, TraceSink};
+use tcp_trace::stream::{SnapMark, StreamAnalyzer, StreamConfig, TraceSink};
 
 /// One benchmark measurement: a workload, its median per-iteration wall
 /// time, and the throughput normalization.
@@ -478,12 +478,13 @@ fn sim_run(cadence: f64, horizon: f64, journal: Option<&Journal>) -> u64 {
 }
 
 /// One sliced run of the full journaled-campaign pipeline (streaming
-/// analyzer attached); with `journal` set, a full checkpoint (connection
-/// snapshot + analyzer clone, encoded on the writer thread) is cut at
-/// every slice boundary — exactly what `run_table2_journaled` does
-/// between `run_until_budget` slices.
+/// analyzer attached); with `journal` set, a checkpoint (connection
+/// snapshot + analyzer delta since the previous checkpoint, encoded on the
+/// writer thread) is cut at every slice boundary — exactly what
+/// `run_table2_journaled` does between `run_until_budget` slices.
 fn campaign_run(cadence: f64, horizon: f64, journal: Option<&Journal>) -> u64 {
     let mut conn = checkpoint_conn();
+    let mut mark = SnapMark::default();
     let mut k: u64 = 1;
     loop {
         let t = (k as f64 * cadence).min(horizon);
@@ -492,9 +493,10 @@ fn campaign_run(cadence: f64, horizon: f64, journal: Option<&Journal>) -> u64 {
             break;
         }
         if let Some(journal) = journal {
-            if let (Ok(conn_bytes), Some(analyzer)) =
-                (conn.snapshot(), conn.observer().stream_clone())
+            if let (Ok(conn_bytes), Some(delta)) =
+                (conn.snapshot(), conn.observer().stream_delta(mark))
             {
+                mark = delta.end();
                 let boundary = k + 1;
                 journal.append_with(move || {
                     CampaignRecord::Checkpoint(Checkpoint {
@@ -505,7 +507,7 @@ fn campaign_run(cadence: f64, horizon: f64, journal: Option<&Journal>) -> u64 {
                         every_bits: cadence.to_bits(),
                         next_boundary: boundary,
                         conn: conn_bytes,
-                        stream: analyzer.snapshot(),
+                        stream: delta.encode(),
                     })
                     .encode()
                 });

@@ -44,7 +44,9 @@ use tcp_trace::intervals::IntervalStats;
 use tcp_trace::karn::TimingEstimates;
 use tcp_trace::log::TraceLog;
 use tcp_trace::record::Trace;
-use tcp_trace::stream::{StreamAnalysis, StreamAnalyzer, StreamConfig, TraceSink};
+use tcp_trace::stream::{
+    SnapMark, StreamAnalysis, StreamAnalyzer, StreamConfig, StreamDelta, TraceSink,
+};
 
 /// A [`tcp_sim::Observer`] that consumes the sender-side wire trace — the
 /// glue between the simulator and the analysis programs (the `tcpdump` of
@@ -169,10 +171,10 @@ impl TraceRecorder {
     }
 
     /// A clone of the streaming analyzer's state, under the same
-    /// availability rule as [`TraceRecorder::stream_snapshot`]. Cloning is
-    /// a plain memcpy of the retained sample vectors — much cheaper than
-    /// encoding — so checkpointed runs hand the clone to the journal's
-    /// writer thread and serialize there ([`Journal::append_with`]).
+    /// availability rule as [`TraceRecorder::stream_snapshot`]: a memcpy
+    /// of the whole retained state, for encoding elsewhere. Checkpointed
+    /// runs capture only what changed since their previous checkpoint
+    /// ([`TraceRecorder::stream_delta`]).
     pub fn stream_clone(&self) -> Option<StreamAnalyzer> {
         if self.log.is_some() {
             return None;
@@ -180,10 +182,30 @@ impl TraceRecorder {
         self.stream.clone()
     }
 
-    /// Restores the streaming analyzer from [`TraceRecorder::stream_snapshot`]
-    /// bytes. The recorder must be reduce-only with an identically
-    /// configured analyzer; on `Err` the analyzer state is unspecified and
-    /// the recorder must be rebuilt before use.
+    /// The streaming analyzer's state since `since`
+    /// ([`StreamAnalyzer::delta_since`]), under the same availability rule
+    /// as [`TraceRecorder::stream_snapshot`]. Checkpointed runs capture
+    /// this between slices: it copies the fixed state and only the tails
+    /// appended since the previous checkpoint, and the journal's writer
+    /// thread encodes it ([`Journal::append_with`]).
+    pub fn stream_delta(&self, since: SnapMark) -> Option<StreamDelta> {
+        if self.log.is_some() {
+            return None;
+        }
+        self.stream.as_ref().map(|s| s.delta_since(since))
+    }
+
+    /// The streaming analyzer's current [`SnapMark`], if it has one.
+    pub fn stream_mark(&self) -> Option<SnapMark> {
+        self.stream.as_ref().map(StreamAnalyzer::mark)
+    }
+
+    /// Applies [`TraceRecorder::stream_snapshot`] bytes, or one
+    /// [`StreamDelta`] link of a checkpoint chain, to the streaming
+    /// analyzer ([`StreamAnalyzer::restore`]). The recorder must be
+    /// reduce-only with an identically configured analyzer; on `Err` the
+    /// analyzer state is unspecified and the recorder must be rebuilt
+    /// before use.
     pub fn stream_restore(&mut self, bytes: &[u8]) -> SnapResult<()> {
         if self.log.is_some() {
             return Err(SnapError::Unsupported(
@@ -411,21 +433,34 @@ pub fn calibrate_wire_loss(spec: &PathSpec, seed: u64) -> WireLoss {
         burst_time_frac: to_target,
         mean_burst_secs: (spec.t0 * 0.75).clamp(0.2, 1.5),
     };
-    // Probe runs stream their classification: only the loss-indication
-    // counts feed the fixed point, so retaining probe traces (or running
-    // the timing/interval reductions) would be pure overhead.
+    // Calibration always probes with the Reno referee: wire-loss
+    // parameters are a property of the path, pinned against the paper's
+    // own (Reno) loss-indication rates, so every variant runs over the
+    // identical calibrated wire.
     let probe_opts = ExperimentOptions {
-        retain_trace: false,
-        interval_secs: None,
-        correlation: false,
-        // Calibration always probes with the Reno referee: wire-loss
-        // parameters are a property of the path, pinned against the
-        // paper's own (Reno) loss-indication rates, so every variant runs
-        // over the identical calibrated wire.
         cc: CcAlgorithm::default(),
+        ..ExperimentOptions::default()
+    };
+    // Probe runs stream their classification only: the fixed point reads
+    // nothing but the loss-indication counts, so retaining probe traces
+    // or running the timing, interval or correlation reductions would be
+    // pure overhead.
+    let probe_stream = StreamConfig {
+        interval_secs: None,
+        timing: false,
+        correlation: false,
+        ..stream_config(spec, &probe_opts)
     };
     for iter in 0..5 {
-        let r = run_connection_raw(spec, wire, 400.0, seed.wrapping_add(iter), &probe_opts);
+        let r = run_connection_budgeted(
+            spec,
+            wire,
+            400.0,
+            seed.wrapping_add(iter),
+            u64::MAX,
+            probe_stream,
+            &probe_opts,
+        );
         let a = r.analysis();
         if a.packets_sent == 0 {
             break;
@@ -462,6 +497,8 @@ pub fn calibrate_wire_loss(spec: &PathSpec, seed: u64) -> WireLoss {
 /// measurement.
 pub const DEFAULT_EVENT_BUDGET: u64 = 50_000_000;
 
+/// The reductions a measured connection streams: everything the §III
+/// tables and figures read.
 fn stream_config(spec: &PathSpec, opts: &ExperimentOptions) -> StreamConfig {
     StreamConfig {
         analyzer: tcp_trace::analyzer::AnalyzerConfig {
@@ -490,18 +527,21 @@ fn run_connection_raw(
     seed: u64,
     opts: &ExperimentOptions,
 ) -> ExperimentResult {
-    run_connection_budgeted(spec, wire, horizon_secs, seed, u64::MAX, opts)
+    let stream = stream_config(spec, opts);
+    run_connection_budgeted(spec, wire, horizon_secs, seed, u64::MAX, stream, opts)
 }
 
 /// Builds the identically configured connection behind every wire-loss
-/// run: shared by the straight-through and the checkpointed runners, so a
-/// resumed connection is rebuilt from exactly the configuration the
-/// crashed one had (the snapshot codec restores mutable state only).
+/// run: shared by calibration probes, the straight-through and the
+/// checkpointed runners, so a resumed connection is rebuilt from exactly
+/// the configuration the crashed one had (the snapshot codec restores
+/// mutable state only). `stream` names the reductions its recorder runs.
 fn build_wire_connection(
     spec: &PathSpec,
     wire: WireLoss,
     horizon_secs: f64,
     seed: u64,
+    stream: StreamConfig,
     opts: &ExperimentOptions,
 ) -> Connection<TraceRecorder> {
     // Mild jitter (5% of RTT) keeps RTT samples realistic without breaking
@@ -510,17 +550,16 @@ fn build_wire_connection(
     let jitter = SimDuration::from_secs_f64(spec.rtt * 0.05);
     let fwd = Path::constant(SimDuration::from_secs_f64(half)).with_jitter(jitter);
     let rev = Path::constant(SimDuration::from_secs_f64(half)).with_jitter(jitter);
-    let config = stream_config(spec, opts);
     let recorder = if opts.retain_trace {
         // Preallocate the trace from the paper's hour-long packet count for
         // this path: sends plus delayed (b=2) ACK arrivals ≈ 1.5× packets.
         TraceRecorder::streaming_retained(
-            config,
+            stream,
             horizon_secs,
             spec.paper_packets.max(1) as f64 / 3600.0 * 1.5,
         )
     } else {
-        TraceRecorder::streaming(config)
+        TraceRecorder::streaming(stream)
     };
     Connection::builder()
         .fwd_path(fwd)
@@ -567,9 +606,10 @@ fn run_connection_budgeted(
     horizon_secs: f64,
     seed: u64,
     max_events: u64,
+    stream: StreamConfig,
     opts: &ExperimentOptions,
 ) -> ExperimentResult {
-    let mut conn = build_wire_connection(spec, wire, horizon_secs, seed, opts);
+    let mut conn = build_wire_connection(spec, wire, horizon_secs, seed, stream, opts);
     let event_budget_hit = conn.run_until_budget(SimTime::from_secs_f64(horizon_secs), max_events);
     finish_wire_connection(conn, horizon_secs, event_budget_hit)
 }
@@ -601,7 +641,8 @@ pub fn run_hour_budgeted_with(
     opts: &ExperimentOptions,
 ) -> ExperimentResult {
     let wire = calibrate_wire_loss(spec, seed.wrapping_mul(31).wrapping_add(17));
-    run_connection_budgeted(spec, wire, 3600.0, seed, max_events, opts)
+    let stream = stream_config(spec, opts);
+    run_connection_budgeted(spec, wire, 3600.0, seed, max_events, stream, opts)
 }
 
 /// The second §III campaign: `n` serially initiated 100-second connections.
@@ -713,23 +754,25 @@ struct CheckpointCtx<'a> {
     journal: &'a Journal,
     job_index: u64,
     every_sim_secs: f64,
-    resume: Option<&'a Checkpoint>,
+    /// The checkpoint chain to resume from, in append order (empty: start
+    /// fresh); see [`journal::JournalReplay::fold`].
+    resume: &'a [Checkpoint],
     crash: Option<&'a CrashPoint>,
 }
 
-/// Runs one connection in sim-time slices, journaling a snapshot between
+/// Runs one connection in sim-time slices, journaling a checkpoint between
 /// slices; returns the result and whether the run resumed from a
-/// checkpoint.
+/// checkpoint chain.
 ///
 /// Determinism: slice boundaries are absolute multiples of the cadence
 /// (`t_k = k · every`), and the checkpoint records the next boundary
 /// index, so an interrupted-and-resumed run executes exactly the boundary
 /// sequence of an uninterrupted one — and `Connection::run_until_budget`
 /// is boundary-insensitive (the sim is event-driven; splitting a run at
-/// any time yields the identical event stream). Snapshot *encoding*
-/// happens here on the worker thread strictly between slices, and all
-/// journal I/O happens on the journal's writer thread, so the sim hot
-/// path never sees either.
+/// any time yields the identical event stream). State capture happens
+/// here on the worker thread strictly between slices, and all analyzer
+/// encoding and journal I/O happen on the journal's writer thread, so the
+/// sim hot path never sees either.
 fn run_connection_checkpointed(
     spec: &PathSpec,
     wire: WireLoss,
@@ -739,24 +782,35 @@ fn run_connection_checkpointed(
     opts: &ExperimentOptions,
     ctx: &CheckpointCtx<'_>,
 ) -> (ExperimentResult, bool) {
-    let mut conn = build_wire_connection(spec, wire, horizon_secs, seed, opts);
+    let stream = stream_config(spec, opts);
+    let build = || build_wire_connection(spec, wire, horizon_secs, seed, stream, opts);
+    let mut conn = build();
     let mut next_boundary: u64 = 1;
     let mut resumed = false;
-    if let Some(cp) = ctx.resume {
-        let compatible = cp.seed == seed
-            && cp.horizon_bits == horizon_secs.to_bits()
-            && cp.every_bits == ctx.every_sim_secs.to_bits()
-            && cp.wire_bits == wire.to_bits();
+    // Where the journaled analyzer chain ends: each checkpoint carries only
+    // what the analyzer gained since this mark.
+    let mut mark = SnapMark::default();
+    if let Some(last) = ctx.resume.last() {
+        let compatible = ctx.resume.iter().all(|cp| {
+            cp.seed == seed
+                && cp.horizon_bits == horizon_secs.to_bits()
+                && cp.every_bits == ctx.every_sim_secs.to_bits()
+                && cp.wire_bits == wire.to_bits()
+        });
         if compatible
-            && conn.restore(&cp.conn).is_ok()
-            && conn.observer_mut().stream_restore(&cp.stream).is_ok()
+            && conn.restore(&last.conn).is_ok()
+            && ctx
+                .resume
+                .iter()
+                .all(|cp| conn.observer_mut().stream_restore(&cp.stream).is_ok())
         {
-            next_boundary = cp.next_boundary;
+            next_boundary = last.next_boundary;
+            mark = conn.observer().stream_mark().unwrap_or_default();
             resumed = true;
         } else {
-            // A stale or mismatched checkpoint is not an error; restore may
-            // have half-applied, so rebuild and run from the start.
-            conn = build_wire_connection(spec, wire, horizon_secs, seed, opts);
+            // A stale, mismatched or unlinked chain is not an error; restore
+            // may have half-applied, so rebuild and run from the start.
+            conn = build();
         }
     }
     let every = if ctx.every_sim_secs > 0.0 {
@@ -773,11 +827,12 @@ fn run_connection_checkpointed(
         }
         // Capture state on the worker thread, strictly between sim
         // slices: the connection snapshot is a few hundred bytes (encode
-        // it here), while the analyzer state runs to hundreds of
-        // kilobytes — clone it (a memcpy) and let the journal's writer
-        // thread do the expensive encode and the blocking I/O.
-        if let (Ok(conn_bytes), Some(analyzer)) = (conn.snapshot(), conn.observer().stream_clone())
+        // it here); of the analyzer, copy the fixed state and only the
+        // tails appended since the previous checkpoint, and let the
+        // journal's writer thread do the encode and the blocking I/O.
+        if let (Ok(conn_bytes), Some(delta)) = (conn.snapshot(), conn.observer().stream_delta(mark))
         {
+            mark = delta.end();
             let (job_index, wire_bits) = (ctx.job_index, wire.to_bits());
             let (horizon_bits, every_bits) = (horizon_secs.to_bits(), every.to_bits());
             let boundary = next_boundary + 1;
@@ -790,7 +845,7 @@ fn run_connection_checkpointed(
                     every_bits,
                     next_boundary: boundary,
                     conn: conn_bytes,
-                    stream: analyzer.snapshot(),
+                    stream: delta.encode(),
                 })
                 .encode()
             });
@@ -806,21 +861,47 @@ fn run_connection_checkpointed(
     )
 }
 
+/// The row a journal's completion record stands for, or `None` when its
+/// result does not decode (the row then reruns).
+fn replayed_row(done: &journal::DoneAttempt, first_seed: u64) -> Option<CampaignRow> {
+    let json = std::str::from_utf8(&done.result_json).ok()?;
+    let result = serde_json::from_str::<ExperimentResult>(json).ok()?;
+    let outcome = if done.resumed {
+        Outcome::Resumed
+    } else if done.seed == first_seed {
+        Outcome::Ok
+    } else {
+        Outcome::Retried
+    };
+    Some(CampaignRow {
+        label: done.label.clone(),
+        seed: done.seed,
+        outcome,
+        attempts: if done.seed == first_seed { 1 } else { 2 },
+        result: Some(result),
+    })
+}
+
 /// Crash-safe [`run_table2`]: the campaign writes a write-ahead journal at
 /// `journal_path` and can be re-invoked with the same arguments after a
 /// crash (process kill, power loss) to pick up where it left off.
 ///
 /// * attempts already recorded as complete are **replayed** from the
 ///   journal without re-running (their rows keep the recorded outcome);
-/// * attempts with an in-flight checkpoint **resume** from it and are
-///   labeled [`Outcome::Resumed`] — their results are bit-identical to an
-///   uninterrupted run (`tests/resume_equivalence.rs` gates this);
+///   their results decode on scoped threads (at most the campaign's
+///   worker count) while the live attempts run;
+/// * attempts with an in-flight checkpoint chain **resume** from it and
+///   are labeled [`Outcome::Resumed`] — their results are bit-identical to
+///   an uninterrupted run (`tests/resume_equivalence.rs` gates this);
 /// * a torn or corrupt journal tail is treated as a clean truncation: the
-///   affected work is re-run, the campaign never aborts.
+///   affected work is re-run, the campaign never aborts. So is a
+///   completion whose result does not decode: its row reruns in a second
+///   pass after the first.
 ///
-/// Completion records are fsync'd before the row is reported; checkpoints
-/// are written asynchronously off the simulation threads. The journal is
-/// strictly append-only — resuming never rewrites existing bytes.
+/// Live attempts are submitted in spec order. Completion records are
+/// fsync'd before the row is reported; checkpoints are written
+/// asynchronously off the simulation threads. The journal is strictly
+/// append-only — resuming never rewrites existing bytes.
 //= pftk#crash-resume
 pub fn run_table2_journaled(
     specs: &[PathSpec],
@@ -828,43 +909,17 @@ pub fn run_table2_journaled(
     journal_path: &FsPath,
     config: &JournalConfig,
 ) -> io::Result<CampaignReport> {
-    let state = journal::replay(journal_path)?.fold();
+    let mut state = journal::replay(journal_path)?.fold();
     let journal = Arc::new(Journal::open(journal_path)?);
     let n = specs.len();
-    let mut prefilled: Vec<Option<CampaignRow>> = (0..n).map(|_| None).collect();
-    let mut jobs: Vec<JobSpec> = Vec::new();
-    let mut live_flags: Vec<(usize, Arc<AtomicBool>)> = Vec::new();
-    for (i, spec) in specs.iter().enumerate() {
+    let first_seed = |i: usize| base_seed.wrapping_add(i as u64);
+    // One job for row `i`, resuming `resume` when it belongs to the
+    // attempt; the flag reports whether the attempt did resume.
+    let make_job = |i: usize, resume: Vec<Checkpoint>| {
         let job_index = i as u64;
-        let first_seed = base_seed.wrapping_add(job_index);
-        if let Some(done) = state.done.get(&job_index) {
-            if let Ok(result) = std::str::from_utf8(&done.result_json)
-                .map_err(|_| ())
-                .and_then(|s| serde_json::from_str::<ExperimentResult>(s).map_err(|_| ()))
-            {
-                let outcome = if done.resumed {
-                    Outcome::Resumed
-                } else if done.seed == first_seed {
-                    Outcome::Ok
-                } else {
-                    Outcome::Retried
-                };
-                prefilled[i] = Some(CampaignRow {
-                    label: done.label.clone(),
-                    seed: done.seed,
-                    outcome,
-                    attempts: if done.seed == first_seed { 1 } else { 2 },
-                    result: Some(result),
-                });
-                continue;
-            }
-            // An undecodable result payload re-runs the attempt — same
-            // never-abort policy as a torn tail.
-        }
-        let resume = state.inflight.get(&job_index).cloned();
         let resumed_flag = Arc::new(AtomicBool::new(false));
-        live_flags.push((i, Arc::clone(&resumed_flag)));
-        let spec = *spec;
+        let flag = Arc::clone(&resumed_flag);
+        let spec = specs[i];
         let label = spec.id();
         let journal = Arc::clone(&journal);
         let crash = config.crash.clone();
@@ -872,14 +927,17 @@ pub fn run_table2_journaled(
         let horizon = config.horizon_secs;
         let budget = config.event_budget;
         let cc = config.cc;
-        jobs.push(JobSpec {
+        let job = JobSpec {
             label: label.clone(),
-            seed: first_seed,
+            seed: first_seed(i),
             job: Arc::new(move |seed| {
-                // Only a checkpoint of this very attempt (same seed) may be
+                // Only a chain of this very attempt (same seed) may be
                 // resumed; a reseeded retry starts fresh.
-                let resume = resume.as_ref().filter(|cp| cp.seed == seed);
-                let wire = match resume {
+                let chain: &[Checkpoint] = match resume.last() {
+                    Some(cp) if cp.seed == seed => &resume,
+                    _ => &[],
+                };
+                let wire = match chain.last() {
                     // The stored bits equal what calibration would produce
                     // (it is seed-deterministic); using them skips the probe
                     // runs and is exact by construction.
@@ -890,7 +948,7 @@ pub fn run_table2_journaled(
                     journal: journal.as_ref(),
                     job_index,
                     every_sim_secs: every,
-                    resume,
+                    resume: chain,
                     crash: crash.as_deref(),
                 };
                 let (result, resumed) = run_connection_checkpointed(
@@ -922,43 +980,87 @@ pub fn run_table2_journaled(
                 resumed_flag.store(resumed, Ordering::Release);
                 result
             }),
-        });
-    }
-    let live_report = run_campaign(jobs, &config.supervisor);
-    // Merge replayed and live rows back into spec order (live rows come
-    // out of `run_campaign` in submission order, which is spec order with
-    // the replayed indices skipped).
-    let mut live_rows = live_report.rows.into_iter();
-    let mut rows: Vec<CampaignRow> = Vec::with_capacity(n);
-    for pre in prefilled {
-        match pre {
-            Some(row) => rows.push(row),
-            None => {
-                let Some(row) = live_rows.next() else {
-                    // run_campaign guarantees one row per job; degrade
-                    // rather than panic if that ever breaks.
-                    break;
-                };
-                rows.push(row);
+        };
+        (job, flag)
+    };
+    // Runs rows `live` (ascending) as one campaign, in that submission
+    // order, and files each row in its slot.
+    let mut rows: Vec<Option<CampaignRow>> = (0..n).map(|_| None).collect();
+    let file_live = |rows: &mut [Option<CampaignRow>],
+                     live: &[usize],
+                     flags: Vec<Arc<AtomicBool>>,
+                     report: CampaignReport| {
+        for ((&i, flag), mut row) in live.iter().zip(flags).zip(report.rows) {
+            if flag.load(Ordering::Acquire) && row.outcome == Outcome::Ok {
+                row.outcome = Outcome::Resumed;
             }
+            rows[i] = Some(row);
         }
+    };
+
+    let (replayed, live): (Vec<usize>, Vec<usize>) =
+        (0..n).partition(|&i| state.done.contains_key(&(i as u64)));
+    let (jobs, flags): (Vec<JobSpec>, Vec<_>) = live
+        .iter()
+        .map(|&i| make_job(i, state.inflight.remove(&(i as u64)).unwrap_or_default()))
+        .unzip();
+    let decoders = config.supervisor.workers().min(replayed.len());
+    let (decoded, live_report) = std::thread::scope(|scope| {
+        let (replayed, done) = (&replayed, &state.done);
+        let handles: Vec<_> = (0..decoders)
+            .map(|d| {
+                scope.spawn(move || {
+                    replayed
+                        .iter()
+                        .skip(d)
+                        .step_by(decoders)
+                        .filter_map(|&i| {
+                            let row = replayed_row(done.get(&(i as u64))?, first_seed(i))?;
+                            Some((i, row))
+                        })
+                        .collect::<Vec<_>>()
+                })
+            })
+            .collect();
+        let live_report = run_campaign(jobs, &config.supervisor);
+        // A decoder that died leaves its rows undecoded: they rerun below.
+        let decoded: Vec<_> = handles
+            .into_iter()
+            .flat_map(|h| h.join().unwrap_or_default())
+            .collect();
+        (decoded, live_report)
+    });
+    for (i, row) in decoded {
+        rows[i] = Some(row);
     }
-    let mut report = CampaignReport { rows };
-    for (i, flag) in live_flags {
-        if flag.load(Ordering::Acquire) {
-            if let Some(row) = report.rows.get_mut(i) {
-                if row.outcome == Outcome::Ok {
-                    row.outcome = Outcome::Resumed;
-                }
-            }
-        }
+    file_live(&mut rows, &live, flags, live_report);
+
+    // A completion whose result does not decode reruns its row — the same
+    // never-abort policy as a torn tail. Its completion cleared the row's
+    // checkpoints, so the rerun starts fresh.
+    let rerun: Vec<usize> = replayed
+        .into_iter()
+        .filter(|&i| rows[i].is_none())
+        .collect();
+    if !rerun.is_empty() {
+        let (jobs, flags): (Vec<JobSpec>, Vec<_>) =
+            rerun.iter().map(|&i| make_job(i, Vec::new())).unzip();
+        let report = run_campaign(jobs, &config.supervisor);
+        file_live(&mut rows, &rerun, flags, report);
     }
+    // `run_campaign` reports one row per job, so every slot is filled.
+    let report = CampaignReport {
+        rows: rows.into_iter().flatten().collect(),
+    };
     // Flush and join the writer before returning so the journal is durable
-    // and byte-stable the moment the report is in hand. An abandoned
-    // (timed-out) attempt may still hold a journal handle; its drop will
-    // flush whenever it finally dies.
-    if let Ok(journal) = Arc::try_unwrap(journal) {
-        journal.close()?;
+    // and byte-stable the moment the report is in hand. A finished attempt
+    // the pool has not yet dropped, or an abandoned (timed-out) one, may
+    // still hold a journal handle: then wait for everything queued so far
+    // (a killed attempt's last checkpoints included), and leave the writer
+    // to the last handle's drop.
+    match Arc::try_unwrap(journal) {
+        Ok(journal) => journal.close()?,
+        Err(journal) => journal.sync()?,
     }
     Ok(report)
 }

@@ -9,12 +9,13 @@
 //!   is never lost or recomputed;
 //! * **`Checkpoint`** — periodic in-flight state (the simulator's
 //!   [`Connection::snapshot`](tcp_sim::connection::Connection::snapshot)
-//!   plus the streaming analyzer's snapshot), written asynchronously so
-//!   the sim hot path never blocks on I/O.
+//!   plus the streaming analyzer's delta since the attempt's previous
+//!   checkpoint), written asynchronously so the sim hot path never blocks
+//!   on I/O.
 //!
 //! On startup [`replay`] scans the journal: completed attempts are
 //! reconstructed without re-running, in-flight attempts resume from their
-//! last checkpoint, and a torn tail — a partial header, a short payload, a
+//! checkpoint chain ([`JournalReplay::fold`]), and a torn tail — a partial header, a short payload, a
 //! checksum mismatch, an undecodable record — is treated as a clean
 //! truncation of everything from that point on. Replay never aborts: the
 //! worst possible corruption merely re-runs work.
@@ -69,10 +70,20 @@ pub enum CampaignRecord {
     Checkpoint(Checkpoint),
 }
 
-/// The resumable in-flight state of one attempt. Every field a resumer
-/// needs to rebuild an identically configured connection is carried here;
-/// the `*_bits` fields are exact `f64::to_bits` images so a resumed run is
-/// parameterized bit-identically to the crashed one.
+/// The resumable in-flight state of one attempt at one slice boundary.
+/// Every field a resumer needs to rebuild an identically configured
+/// connection is carried here; the `*_bits` fields are exact
+/// `f64::to_bits` images so a resumed run is parameterized bit-identically
+/// to the crashed one.
+///
+/// An attempt's checkpoints form a chain: `conn` is a whole connection
+/// snapshot, but `stream` is an analyzer snapshot *delta* — the
+/// analyzer's fixed state plus only what its append-only sequences gained
+/// since the same attempt's previous checkpoint, with the base lengths it
+/// extends. The first checkpoint of a chain is a full analyzer snapshot
+/// (the delta from the empty mark); a resumer applies the chain's
+/// `stream`s in order and restores the last link's `conn`
+/// ([`JournalReplay::fold`] assembles the chains).
 #[derive(Debug, Clone, PartialEq)]
 pub struct Checkpoint {
     /// Index of the job in the campaign's submission order.
@@ -94,7 +105,9 @@ pub struct Checkpoint {
     pub next_boundary: u64,
     /// `Connection::snapshot` bytes.
     pub conn: Vec<u8>,
-    /// `StreamAnalyzer::snapshot` bytes.
+    /// Analyzer snapshot delta (`StreamDelta::encode` bytes) over the
+    /// chain's previous link; a full `StreamAnalyzer::snapshot` when this
+    /// checkpoint starts a chain.
     pub stream: Vec<u8>,
 }
 
@@ -189,9 +202,10 @@ pub struct CampaignState {
     /// Jobs with a durably recorded completion, by job index (the last
     /// record wins).
     pub done: BTreeMap<u64, DoneAttempt>,
-    /// Jobs with an in-flight checkpoint and no completion, by job index
-    /// (the last checkpoint wins; an `AttemptDone` clears it).
-    pub inflight: BTreeMap<u64, Checkpoint>,
+    /// Jobs with in-flight checkpoints and no completion, by job index:
+    /// the checkpoint chain of the job's latest attempt, in append order
+    /// (see [`JournalReplay::fold`]; an `AttemptDone` clears it).
+    pub inflight: BTreeMap<u64, Vec<Checkpoint>>,
 }
 
 /// A replayed completion record.
@@ -208,10 +222,24 @@ pub struct DoneAttempt {
 }
 
 impl JournalReplay {
-    /// Folds the record sequence into per-job state: the last completion
-    /// per job wins, and a completion clears any in-flight checkpoint.
+    /// Folds the record sequence into per-job state. The last completion
+    /// per job wins, and a completion clears the job's checkpoints (a
+    /// checkpoint after it is ignored).
+    ///
+    /// Checkpoints fold into one chain per job. A checkpoint extends the
+    /// job's chain when it has the chain's seed and a later boundary than
+    /// the chain's last link — the next checkpoint of the same attempt, or
+    /// of a resume that continued it. Anything else starts a new chain: a
+    /// reseeded retry, or an attempt that reran from the start because the
+    /// old chain was stale. The fold never decodes a `stream`; whether a
+    /// chain really links (each delta's base is where the previous link
+    /// ended) is the restore's check, and a chain that does not link makes
+    /// the resumer rerun the row from the start.
     pub fn fold(&self) -> CampaignState {
         let mut state = CampaignState::default();
+        // Chains hold references until the end, so superseded checkpoints
+        // are never copied.
+        let mut chains: BTreeMap<u64, Vec<&Checkpoint>> = BTreeMap::new();
         for rec in &self.records {
             match rec {
                 CampaignRecord::AttemptDone {
@@ -221,7 +249,7 @@ impl JournalReplay {
                     resumed,
                     result_json,
                 } => {
-                    state.inflight.remove(job_index);
+                    chains.remove(job_index);
                     state.done.insert(
                         *job_index,
                         DoneAttempt {
@@ -233,12 +261,24 @@ impl JournalReplay {
                     );
                 }
                 CampaignRecord::Checkpoint(cp) => {
-                    if !state.done.contains_key(&cp.job_index) {
-                        state.inflight.insert(cp.job_index, cp.clone());
+                    if state.done.contains_key(&cp.job_index) {
+                        continue;
                     }
+                    let chain = chains.entry(cp.job_index).or_default();
+                    let extends = chain.last().is_some_and(|last| {
+                        last.seed == cp.seed && cp.next_boundary > last.next_boundary
+                    });
+                    if !extends {
+                        chain.clear();
+                    }
+                    chain.push(cp);
                 }
             }
         }
+        state.inflight = chains
+            .into_iter()
+            .map(|(job_index, chain)| (job_index, chain.into_iter().cloned().collect()))
+            .collect();
         state
     }
 }
@@ -302,12 +342,12 @@ fn split_at_checked(s: &[u8], mid: usize) -> Option<(&[u8], &[u8])> {
 
 enum Cmd {
     /// Fire-and-forget append (checkpoints). The thunk produces the record
-    /// payload *on the writer thread*, so expensive encodes (a streaming
-    /// analyzer's sample vectors run to hundreds of kilobytes) cost the
-    /// simulation worker only a state clone, not the serialization.
+    /// payload *on the writer thread*, so encoding costs the simulation
+    /// worker only the state capture, not the serialization.
     Append(Box<dyn FnOnce() -> Vec<u8> + Send>),
-    /// Append + fsync, acknowledged (attempt boundaries).
-    AppendSync(Vec<u8>, mpsc::Sender<io::Result<()>>),
+    /// Append (if given) + fsync, acknowledged (attempt boundaries, and
+    /// the barrier a campaign ends with).
+    Sync(Option<Vec<u8>>, mpsc::Sender<io::Result<()>>),
 }
 
 /// Handle to the append-only journal writer: a dedicated thread owns the
@@ -360,8 +400,8 @@ impl Journal {
     /// Like [`Journal::append`], but defers producing the record payload
     /// to the writer thread. The caller captures (cheaply cloned) state in
     /// `encode`; the expensive serialization then runs off the simulation
-    /// worker. Used for checkpoints, whose encoded size grows with the
-    /// analyzer's retained samples.
+    /// worker. Used for checkpoints, whose analyzer delta is captured on
+    /// the worker and encoded here.
     pub fn append_with(&self, encode: impl FnOnce() -> Vec<u8> + Send + 'static) {
         if let Some(tx) = &self.tx {
             let _ = tx.send(Cmd::Append(Box::new(encode)));
@@ -372,11 +412,22 @@ impl Journal {
     /// it) is durable (`fdatasync`). Used at attempt boundaries: once this
     /// returns, a crash cannot lose the completion.
     pub fn append_sync(&self, payload: Vec<u8>) -> io::Result<()> {
+        self.sync_with(Some(payload))
+    }
+
+    /// Waits until everything queued before it is written and durable
+    /// (`fdatasync`), appending nothing. A campaign ends with this when an
+    /// attempt it no longer waits for still holds a handle, so its report
+    /// never comes back ahead of its checkpoints.
+    pub fn sync(&self) -> io::Result<()> {
+        self.sync_with(None)
+    }
+
+    fn sync_with(&self, payload: Option<Vec<u8>>) -> io::Result<()> {
         let gone = || io::Error::new(io::ErrorKind::BrokenPipe, "journal writer is gone");
         let tx = self.tx.as_ref().ok_or_else(gone)?;
         let (ack_tx, ack_rx) = mpsc::channel();
-        tx.send(Cmd::AppendSync(payload, ack_tx))
-            .map_err(|_| gone())?;
+        tx.send(Cmd::Sync(payload, ack_tx)).map_err(|_| gone())?;
         ack_rx.recv().map_err(|_| gone())?
     }
 
@@ -410,8 +461,10 @@ fn writer_loop(mut file: File, rx: &mpsc::Receiver<Cmd>) {
                 // recovery granularity, never the campaign itself.
                 let _ = write_record(&mut file, &encode());
             }
-            Cmd::AppendSync(payload, ack) => {
-                let res = write_record(&mut file, &payload).and_then(|()| file.sync_data());
+            Cmd::Sync(payload, ack) => {
+                let res = payload
+                    .map_or(Ok(()), |p| write_record(&mut file, &p))
+                    .and_then(|()| file.sync_data());
                 let _ = ack.send(res);
             }
         }
@@ -527,11 +580,73 @@ mod tests {
         assert_eq!(state.done.len(), 1);
         assert_eq!(state.done[&1].seed, 41);
         assert!(state.done[&1].resumed);
-        // Job 0 is in flight at its *last* checkpoint; job 1's post-completion
-        // checkpoint was discarded.
+        // Job 0 is in flight with the chain of both its checkpoints; job
+        // 1's post-completion checkpoint was discarded.
         assert_eq!(state.inflight.len(), 1);
-        assert_eq!(state.inflight[&0].next_boundary, 2);
+        let boundaries: Vec<u64> = state.inflight[&0]
+            .iter()
+            .map(|cp| cp.next_boundary)
+            .collect();
+        assert_eq!(boundaries, [1, 2]);
         let _ = std::fs::remove_file(&path);
+    }
+
+    #[test]
+    fn sync_makes_queued_appends_durable_while_the_journal_stays_open() {
+        let path = tmp("sync");
+        let journal = Journal::open(&path).unwrap();
+        journal.append(ckpt(0, 2).encode());
+        journal.append_with(|| ckpt(0, 3).encode());
+        journal.sync().unwrap();
+        // Both queued records are on disk before the writer is closed, and
+        // the barrier itself wrote nothing.
+        assert_eq!(replay(&path).unwrap().records, [ckpt(0, 2), ckpt(0, 3)]);
+        journal.append_sync(done(0).encode()).unwrap();
+        assert_eq!(replay(&path).unwrap().records.len(), 3);
+        journal.close().unwrap();
+        let _ = std::fs::remove_file(&path);
+    }
+
+    #[test]
+    fn fold_chains_an_attempts_checkpoints_and_restarts_on_a_new_attempt() {
+        let with_seed = |rec: CampaignRecord, seed: u64| match rec {
+            CampaignRecord::Checkpoint(cp) => CampaignRecord::Checkpoint(Checkpoint { seed, ..cp }),
+            other => other,
+        };
+        let replayed = JournalReplay {
+            records: vec![
+                // Job 0: one attempt, resumed once (2, 3 then 4, 5).
+                ckpt(0, 2),
+                ckpt(0, 3),
+                ckpt(0, 4),
+                ckpt(0, 5),
+                // Job 1: a stale chain, then a rerun from the start.
+                ckpt(1, 2),
+                ckpt(1, 3),
+                ckpt(1, 2),
+                // Job 2: a reseeded retry starts its own chain.
+                ckpt(2, 2),
+                ckpt(2, 3),
+                with_seed(ckpt(2, 4), 99),
+                // Job 3: completed, so its chain is gone.
+                ckpt(3, 2),
+                done(3),
+            ],
+            torn_tail: false,
+            valid_bytes: 0,
+        };
+        let state = replayed.fold();
+        let chain = |job: u64| -> Vec<(u64, u64)> {
+            state.inflight[&job]
+                .iter()
+                .map(|cp| (cp.seed, cp.next_boundary))
+                .collect()
+        };
+        assert_eq!(chain(0), [(40, 2), (40, 3), (40, 4), (40, 5)]);
+        assert_eq!(chain(1), [(41, 2)]);
+        assert_eq!(chain(2), [(99, 4)]);
+        assert!(!state.inflight.contains_key(&3));
+        assert_eq!(state.done.len(), 1);
     }
 
     //= pftk#journal-torn-tail type=test

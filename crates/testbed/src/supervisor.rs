@@ -127,6 +127,18 @@ impl Default for SupervisorConfig {
     }
 }
 
+impl SupervisorConfig {
+    /// The concurrent experiments `max_workers` asks for: itself, or one
+    /// per available core when it is 0.
+    pub fn workers(&self) -> usize {
+        if self.max_workers == 0 {
+            std::thread::available_parallelism().map_or(4, |c| c.get())
+        } else {
+            self.max_workers
+        }
+    }
+}
+
 /// Per-experiment line of a [`CampaignReport`].
 #[derive(Debug)]
 pub struct CampaignRow {
@@ -288,12 +300,7 @@ pub fn run_campaign(jobs: Vec<JobSpec>, config: &SupervisorConfig) -> CampaignRe
     // by completion order, so the report is invariant under scheduling.
     let slots: Mutex<Vec<Option<CampaignRow>>> = Mutex::new((0..n).map(|_| None).collect());
     let next = AtomicUsize::new(0);
-    let monitors = if config.max_workers == 0 {
-        std::thread::available_parallelism().map_or(4, |c| c.get())
-    } else {
-        config.max_workers
-    }
-    .min(n.max(1));
+    let monitors = config.workers().min(n.max(1));
     // One pooled worker per monitor: each monitor drives at most one
     // attempt at a time, so the pool can never be oversubscribed, and
     // abandoned (wedged) workers are replaced by the pool itself.

@@ -265,7 +265,32 @@ impl Classifier {
         w.put_u64(self.out.acks_seen);
     }
 
-    /// Reads state written by [`Classifier::snapshot_into`].
+    /// A copy of this automaton holding only the indications from index
+    /// `from` on (a snapshot delta's tail); the scalars stay whole.
+    pub(crate) fn tail(&self, from: usize) -> Classifier {
+        Classifier {
+            config: self.config,
+            snd_max: self.snd_max,
+            last_ack: self.last_ack,
+            dupacks: self.dupacks,
+            open_to: self.open_to,
+            td_consumed: self.td_consumed,
+            out: Analysis {
+                indications: self
+                    .out
+                    .indications
+                    .get(from..)
+                    .unwrap_or_default()
+                    .to_vec(),
+                packets_sent: self.out.packets_sent,
+                retransmissions: self.out.retransmissions,
+                acks_seen: self.out.acks_seen,
+            },
+        }
+    }
+
+    /// Reads state written by [`Classifier::snapshot_into`]: the scalars
+    /// replace this automaton's, the indications append to its own.
     pub(crate) fn restore_from(&mut self, r: &mut SnapReader<'_>) -> SnapResult<()> {
         r.expect_tag(
             "classifier-dupack-threshold",
@@ -281,7 +306,6 @@ impl Classifier {
         };
         self.td_consumed = r.get_bool()?;
         let n = r.get_usize()?;
-        self.out.indications.clear();
         for _ in 0..n {
             self.out.indications.push(LossIndication::restore_from(r)?);
         }

@@ -189,13 +189,27 @@ impl RttLog {
         std::iter::from_fn(move || decode_sample(&self.bytes, &mut pos))
     }
 
+    /// This log with only the bytes from offset `from` on; the counters
+    /// stay whole (a snapshot delta's tail).
+    fn tail(&self, from: usize) -> RttLog {
+        RttLog {
+            bytes: self.bytes.get(from..).unwrap_or_default().to_vec(),
+            len: self.len,
+            multi: self.multi,
+        }
+    }
+
+    /// Writes the sample count and the bytes this log holds (all of them,
+    /// or a [`RttLog::tail`]).
     fn snapshot_into(&self, w: &mut SnapWriter) {
         w.put_usize(self.len);
         w.put_bytes(&self.bytes);
     }
 
-    /// Reads a log written by [`RttLog::snapshot_into`], decoding every
-    /// sample so a malformed log fails here rather than at `finish`.
+    /// Appends a log written by [`RttLog::snapshot_into`], decoding every
+    /// appended sample so a malformed log fails here rather than at
+    /// `finish`. The written count must equal the samples held so far plus
+    /// the appended ones.
     fn restore_from(&mut self, r: &mut SnapReader<'_>) -> SnapResult<()> {
         let len = r.get_usize()?;
         let bytes = r.get_bytes()?;
@@ -205,13 +219,12 @@ impl RttLog {
             n += 1;
             multi += usize::from(s.multi);
         }
-        if n != len {
+        if self.len + n != len {
             return Err(SnapError::Invalid("RTT log length"));
         }
-        self.bytes.clear();
         self.bytes.extend_from_slice(bytes);
         self.len = len;
-        self.multi = multi;
+        self.multi += multi;
         Ok(())
     }
 }
@@ -339,6 +352,27 @@ impl RttCore {
         self.window.slots.len() * std::mem::size_of::<Slot>() + self.log.bytes.len()
     }
 
+    /// The RTT log's length as `(bytes, samples)`: where a snapshot delta
+    /// taken now ends.
+    pub(crate) fn log_mark(&self) -> (usize, usize) {
+        (self.log.bytes.len(), self.log.len)
+    }
+
+    /// A copy of this core whose log holds only the bytes from offset
+    /// `from` on: the window and scalars whole, the log a tail.
+    pub(crate) fn tail(&self, from: usize) -> RttCore {
+        RttCore {
+            window: self.window.clone(),
+            snd_max: self.snd_max,
+            last_ack: self.last_ack,
+            log: self.log.tail(from),
+            last_progress_ns: self.last_progress_ns,
+            in_to_sequence: self.in_to_sequence,
+            t0_sum: self.t0_sum,
+            t0_n: self.t0_n,
+        }
+    }
+
     pub(crate) fn snapshot_into(&self, w: &mut SnapWriter) {
         self.window.snapshot_into(w);
         w.put_u64(self.snd_max);
@@ -356,7 +390,8 @@ impl RttCore {
         w.put_u64(self.t0_n);
     }
 
-    /// Reads state written by [`RttCore::snapshot_into`].
+    /// Reads state written by [`RttCore::snapshot_into`]: the window and
+    /// scalars replace this core's, the log bytes append to its log.
     pub(crate) fn restore_from(&mut self, r: &mut SnapReader<'_>) -> SnapResult<()> {
         self.window.restore_from(r)?;
         self.snd_max = r.get_u64()?;

@@ -43,8 +43,79 @@ use serde::{Deserialize, Serialize};
 pub const STREAM_SNAPSHOT_KIND: u32 = 2;
 /// The analyzer-snapshot format version this build reads and writes.
 /// v2 replaced the Karn and correlation cores' maps and sample vectors
-/// with one in-flight window and one varint RTT log (DESIGN.md §13.1).
-pub const STREAM_SNAPSHOT_VERSION: u32 = 2;
+/// with one in-flight window and one varint RTT log; v3 made every
+/// snapshot a delta over a [`SnapMark`] (DESIGN.md §13.1).
+pub const STREAM_SNAPSHOT_VERSION: u32 = 3;
+
+/// Where an analyzer's append-only sequences (loss indications, RTT-log
+/// bytes and samples) stood at one checkpoint: the base a later
+/// [`StreamDelta`] extends. The default is the empty mark, from which a
+/// delta is a full snapshot.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct SnapMark {
+    indications: usize,
+    log_bytes: usize,
+    log_samples: usize,
+}
+
+/// An analyzer's state since a [`SnapMark`], captured for encoding
+/// elsewhere (a journal's writer thread): the fixed state whole, the
+/// append-only sequences as the tails appended after the mark.
+#[derive(Debug, Clone)]
+pub struct StreamDelta {
+    base: SnapMark,
+    end: SnapMark,
+    /// The fixed state, with tails in place of the append-only sequences
+    /// (the RTT log keeps its whole sample count). Only ever encoded.
+    tail: StreamAnalyzer,
+}
+
+impl StreamDelta {
+    /// The mark this delta ends at: the base of the next one.
+    pub fn end(&self) -> SnapMark {
+        self.end
+    }
+
+    /// Encodes the delta as a framed, checksummed analyzer snapshot, the
+    /// same format [`StreamAnalyzer::snapshot`] writes.
+    #[must_use]
+    pub fn encode(&self) -> Vec<u8> {
+        encode_snapshot(self.base, &self.tail)
+    }
+}
+
+/// The one snapshot encoder: `base`, then `state`'s fixed state and
+/// whatever its append-only sequences hold.
+fn encode_snapshot(base: SnapMark, state: &StreamAnalyzer) -> Vec<u8> {
+    // Size hint: the retained-state estimate tracks the encoded size
+    // closely (both are dominated by the same log bytes), so the buffer
+    // almost never reallocates mid-encode.
+    let mut w = SnapWriter::with_capacity(state.state_bytes() + 1024);
+    w.put_usize(base.indications);
+    w.put_usize(base.log_bytes);
+    w.put_usize(base.log_samples);
+    state.classifier.snapshot_into(&mut w);
+    w.put_bool(state.config.timing);
+    w.put_bool(state.config.correlation);
+    if let Some(core) = &state.rtt {
+        core.snapshot_into(&mut w);
+    }
+    match &state.intervals {
+        Some(core) => {
+            w.put_bool(true);
+            core.snapshot_into(&mut w);
+        }
+        None => w.put_bool(false),
+    }
+    w.put_u64(state.events);
+    w.put_u64(state.last_time_ns);
+    w.put_usize(state.peak_state_bytes);
+    frame(
+        STREAM_SNAPSHOT_KIND,
+        STREAM_SNAPSHOT_VERSION,
+        &w.into_bytes(),
+    )
+}
 
 /// A consumer of sender-side wire events, fed in nondecreasing time order.
 ///
@@ -254,46 +325,65 @@ impl StreamAnalyzer {
         }
     }
 
-    /// Encodes the analyzer's full mid-stream state — the classifier
-    /// automaton and every enabled core — as a framed, checksummed
-    /// snapshot ([`STREAM_SNAPSHOT_KIND`]). An analyzer restored from this
-    /// snapshot into an identically-configured [`StreamAnalyzer::new`] and
-    /// fed the remaining events produces a [`StreamAnalysis`] bit-identical
-    /// to the uninterrupted one.
-    #[must_use]
-    pub fn snapshot(&self) -> Vec<u8> {
-        // Size hint: the retained-state estimate tracks the encoded size
-        // closely (both are dominated by the same sample vectors), so the
-        // buffer almost never reallocates mid-encode.
-        let mut w = SnapWriter::with_capacity(self.state_bytes() + 1024);
-        self.classifier.snapshot_into(&mut w);
-        w.put_bool(self.config.timing);
-        w.put_bool(self.config.correlation);
-        if let Some(core) = &self.rtt {
-            core.snapshot_into(&mut w);
+    /// Where the append-only sequences stand now: the base for the next
+    /// [`StreamAnalyzer::delta_since`]. Read only at checkpoints; the
+    /// per-event path never touches a mark.
+    pub fn mark(&self) -> SnapMark {
+        let (log_bytes, log_samples) = self.rtt.as_ref().map_or((0, 0), RttCore::log_mark);
+        SnapMark {
+            indications: self.classifier.indications().len(),
+            log_bytes,
+            log_samples,
         }
-        match &self.intervals {
-            Some(core) => {
-                w.put_bool(true);
-                core.snapshot_into(&mut w);
-            }
-            None => w.put_bool(false),
-        }
-        w.put_u64(self.events);
-        w.put_u64(self.last_time_ns);
-        w.put_usize(self.peak_state_bytes);
-        frame(
-            STREAM_SNAPSHOT_KIND,
-            STREAM_SNAPSHOT_VERSION,
-            &w.into_bytes(),
-        )
     }
 
-    /// Applies a snapshot produced by [`StreamAnalyzer::snapshot`] into
-    /// this analyzer, which must have been built with the same
-    /// [`StreamConfig`] (mismatches are [`SnapError::TagMismatch`]; a
-    /// frame of another format version is [`SnapError::UnsupportedVersion`];
-    /// corrupt or truncated bytes error, never panic). On error the
+    /// Captures the state since `base` (a mark this analyzer returned
+    /// earlier): the fixed state — classifier scalars, in-flight window,
+    /// interval counters, log counters — whole, and only the indications
+    /// and RTT-log bytes appended after `base`. The capture copies those
+    /// tails, not the whole analyzer; [`StreamDelta::encode`] does the
+    /// encoding wherever the caller likes.
+    pub fn delta_since(&self, base: SnapMark) -> StreamDelta {
+        StreamDelta {
+            base,
+            end: self.mark(),
+            tail: StreamAnalyzer {
+                config: self.config,
+                classifier: self.classifier.tail(base.indications),
+                rtt: self.rtt.as_ref().map(|core| core.tail(base.log_bytes)),
+                intervals: self.intervals.clone(),
+                interval_secs: self.interval_secs,
+                events: self.events,
+                last_time_ns: self.last_time_ns,
+                peak_state_bytes: self.peak_state_bytes,
+            },
+        }
+    }
+
+    /// Encodes the analyzer's full mid-stream state — the classifier
+    /// automaton and every enabled core — as a framed, checksummed
+    /// snapshot ([`STREAM_SNAPSHOT_KIND`]): the delta from the empty
+    /// [`SnapMark`]. An analyzer restored from this snapshot into an
+    /// identically-configured [`StreamAnalyzer::new`] and fed the
+    /// remaining events produces a [`StreamAnalysis`] bit-identical to the
+    /// uninterrupted one.
+    #[must_use]
+    pub fn snapshot(&self) -> Vec<u8> {
+        encode_snapshot(SnapMark::default(), self)
+    }
+
+    /// Applies a snapshot produced by [`StreamAnalyzer::snapshot`] or
+    /// [`StreamDelta::encode`] to this analyzer, which must have been
+    /// built with the same [`StreamConfig`] (mismatches are
+    /// [`SnapError::TagMismatch`]; a frame of another format version is
+    /// [`SnapError::UnsupportedVersion`]; corrupt or truncated bytes
+    /// error, never panic).
+    ///
+    /// A full snapshot (a delta from the empty mark) replaces the
+    /// analyzer's state. Any other delta must extend exactly what this
+    /// analyzer holds — its base equal to [`StreamAnalyzer::mark`] — or
+    /// the restore is [`SnapError::Invalid`]: applying a checkpoint chain
+    /// link by link rebuilds the state at its last link. On error the
     /// analyzer is left in an unspecified partially-restored state:
     /// rebuild it before further use.
     pub fn restore(&mut self, bytes: &[u8]) -> SnapResult<()> {
@@ -302,6 +392,19 @@ impl StreamAnalyzer {
             return Err(SnapError::Invalid("not an analyzer snapshot"));
         }
         let mut r = SnapReader::new(framed.payload);
+        let base = SnapMark {
+            indications: r.get_usize()?,
+            log_bytes: r.get_usize()?,
+            log_samples: r.get_usize()?,
+        };
+        if base != self.mark() {
+            if base != SnapMark::default() {
+                return Err(SnapError::Invalid(
+                    "snapshot delta does not extend this analyzer",
+                ));
+            }
+            *self = StreamAnalyzer::new(self.config);
+        }
         self.classifier.restore_from(&mut r)?;
         for (context, enabled) in [
             ("karn-presence", self.config.timing),
@@ -796,6 +899,75 @@ mod tests {
     }
 
     #[test]
+    fn a_chain_of_deltas_restores_like_one_full_snapshot() {
+        let t = eventful_trace();
+        let cfg = StreamConfig::default();
+        let whole = stream(&t, cfg, Some(250.0));
+        let records: Vec<_> = t.records().to_vec();
+
+        // Cut deltas at several boundaries, each from the previous one's
+        // end, and apply them in order to a fresh analyzer.
+        let mut live = StreamAnalyzer::new(cfg);
+        let mut mark = SnapMark::default();
+        let mut chain = Vec::new();
+        let cuts = [3, records.len() / 3, records.len() / 2, records.len() - 2];
+        let mut fed = 0;
+        for cut in cuts {
+            for rec in &records[fed..cut] {
+                live.on_record(rec);
+            }
+            fed = cut;
+            let delta = live.delta_since(mark);
+            mark = delta.end();
+            assert_eq!(mark, live.mark());
+            chain.push(delta.encode());
+        }
+        assert_eq!(
+            live.delta_since(SnapMark::default()).encode(),
+            live.snapshot(),
+            "a full snapshot is the delta from the empty mark"
+        );
+        let full_bytes = live.snapshot().len();
+        let tail_bytes: usize = chain[1..].iter().map(Vec::len).sum();
+        assert!(
+            tail_bytes < full_bytes * (chain.len() - 1),
+            "later links must not re-carry the whole log"
+        );
+
+        let mut resumed = StreamAnalyzer::new(cfg);
+        for link in &chain {
+            resumed.restore(link).expect("chain link applies");
+        }
+        assert_eq!(resumed.snapshot(), live.snapshot());
+        for rec in &records[fed..] {
+            resumed.on_record(rec);
+        }
+        assert_eq!(resumed.finish(Some(250.0)), whole);
+
+        // A link whose base is not what the analyzer holds does not apply:
+        // skipping a link, or applying a link twice.
+        let mut skipped = StreamAnalyzer::new(cfg);
+        skipped.restore(&chain[0]).expect("first link");
+        assert!(matches!(
+            skipped.restore(&chain[2]),
+            Err(SnapError::Invalid(_))
+        ));
+        let mut twice = StreamAnalyzer::new(cfg);
+        twice.restore(&chain[0]).expect("first link");
+        twice.restore(&chain[1]).expect("second link");
+        assert!(matches!(
+            twice.restore(&chain[1]),
+            Err(SnapError::Invalid(_))
+        ));
+
+        // A full snapshot replaces whatever the analyzer held.
+        let mut replaced = StreamAnalyzer::new(cfg);
+        replaced.restore(&chain[0]).expect("first link");
+        replaced.restore(&live.snapshot()).expect("full snapshot");
+        assert_eq!(replaced.snapshot(), live.snapshot());
+    }
+
+    #[test]
     fn restore_rejects_an_older_layout_version() {
         let mut donor = StreamAnalyzer::new(StreamConfig::default());
         for rec in eventful_trace().records() {
@@ -830,6 +1002,9 @@ mod tests {
         };
         let encode = |slots: &[u64], log_len: usize, log: &[u8]| {
             let mut w = SnapWriter::new();
+            for _ in 0..3 {
+                w.put_usize(0); // the empty base
+            }
             Classifier::new(cfg.analyzer).snapshot_into(&mut w);
             w.put_bool(true);
             w.put_bool(true);

@@ -26,7 +26,7 @@ use std::path::PathBuf;
 use std::sync::Arc;
 use std::time::Duration;
 
-use padhye_tcp_repro::testbed::journal::{self, CampaignRecord};
+use padhye_tcp_repro::testbed::journal::{self, CampaignRecord, Journal};
 use padhye_tcp_repro::testbed::{
     run_table2_journaled, CampaignReport, CrashPoint, JournalConfig, Outcome, SupervisorConfig,
     TABLE2_PATHS,
@@ -376,4 +376,192 @@ fn torn_or_corrupt_journal_recovers_without_panicking() {
     );
     assert_outputs_bit_identical(&reference, &resumed, "corrupt record");
     let _ = std::fs::remove_file(&path);
+}
+
+/// The index of the one row a killed run left as a `Panicked` hole.
+fn only_hole(report: &CampaignReport, context: &str) -> usize {
+    let holes: Vec<usize> = (0..report.rows.len())
+        .filter(|&i| !report.rows[i].outcome.succeeded())
+        .collect();
+    assert_eq!(holes.len(), 1, "{context}: holes {holes:?}");
+    assert_eq!(
+        report.rows[holes[0]].outcome,
+        Outcome::Panicked,
+        "{context}: hole must be an attributable crash"
+    );
+    holes[0]
+}
+
+/// The `next_boundary` of each link in a job's folded checkpoint chain.
+fn chain_boundaries(path: &std::path::Path, job: usize) -> Vec<u64> {
+    journal::replay(path)
+        .expect("journal readable")
+        .fold()
+        .inflight
+        .get(&(job as u64))
+        .map(|chain| chain.iter().map(|cp| cp.next_boundary).collect())
+        .unwrap_or_default()
+}
+
+/// Asserts the journal at `path` still starts with `prefix`, byte for byte.
+fn assert_prefix_kept(path: &std::path::Path, prefix: &[u8], context: &str) {
+    let bytes = std::fs::read(path).expect("journal exists");
+    assert!(bytes.len() >= prefix.len(), "{context}: journal shrank");
+    assert_eq!(
+        &bytes[..prefix.len()],
+        prefix,
+        "{context}: an earlier record was rewritten"
+    );
+}
+
+//= pftk#crash-resume type=test
+#[test]
+fn twice_killed_row_resumes_through_its_checkpoint_chain() {
+    let ref_path = journal_path("chain-reference");
+    let reference = run(&ref_path, 2, None);
+    assert!(reference.is_complete(), "{}", reference.summary());
+    let _ = std::fs::remove_file(&ref_path);
+
+    for workers in worker_counts() {
+        let context = format!("{workers} workers");
+        let path = journal_path(&format!("chain-w{workers}"));
+
+        // First kill at the campaign's first checkpoint boundary: the
+        // killed row has later boundaries left to be killed at again, and
+        // every other row completes.
+        let first = run(&path, workers, Some(CrashPoint::after(1)));
+        let row = only_hole(&first, &context);
+        assert_eq!(chain_boundaries(&path, row), [2], "{context}: first chain");
+        let after_first = std::fs::read(&path).expect("journal exists");
+
+        // Second kill: the resumed row is the only live one, so the second
+        // tick is its second boundary after the resume. The resumed
+        // attempt's checkpoints extend the first attempt's chain.
+        let second = run(&path, workers, Some(CrashPoint::after(2)));
+        assert_eq!(only_hole(&second, &context), row, "{context}: second kill");
+        assert_eq!(
+            chain_boundaries(&path, row),
+            [2, 3, 4],
+            "{context}: chained checkpoints"
+        );
+        assert_prefix_kept(&path, &after_first, &context);
+        let after_second = std::fs::read(&path).expect("journal exists");
+
+        // Resume through the whole chain.
+        let resumed = run(&path, workers, None);
+        assert!(resumed.is_complete(), "{context}: {}", resumed.summary());
+        assert_eq!(resumed.rows[row].outcome, Outcome::Resumed, "{context}");
+        assert_outputs_bit_identical(&reference, &resumed, &context);
+        assert_prefix_kept(&path, &after_second, &context);
+        let _ = std::fs::remove_file(&path);
+    }
+}
+
+//= pftk#crash-resume type=test
+#[test]
+fn unlinked_checkpoint_chain_reruns_its_row_from_the_start() {
+    let ref_path = journal_path("unlinked-reference");
+    let reference = run(&ref_path, 2, None);
+    assert!(reference.is_complete(), "{}", reference.summary());
+    let ref_records = journal::replay(&ref_path)
+        .expect("journal readable")
+        .records;
+    let _ = std::fs::remove_file(&ref_path);
+
+    for workers in worker_counts() {
+        let context = format!("{workers} workers");
+        let path = journal_path(&format!("unlinked-w{workers}"));
+        let crashed = run(&path, workers, Some(CrashPoint::after(1)));
+        let row = only_hole(&crashed, &context);
+        assert_eq!(chain_boundaries(&path, row), [2], "{context}: chain");
+
+        // Splice the uninterrupted run's checkpoint at boundary 4 onto the
+        // chain: same attempt and a later boundary, so the fold extends
+        // the chain with it, but its analyzer delta's base is where
+        // boundary 3 ended, not boundary 2.
+        let spliced = ref_records
+            .iter()
+            .find(|r| {
+                matches!(r, CampaignRecord::Checkpoint(cp)
+                    if cp.job_index == row as u64 && cp.next_boundary == 4)
+            })
+            .expect("reference checkpoint at boundary 4");
+        let journal = Journal::open(&path).expect("journal opens");
+        journal.append_sync(spliced.encode()).expect("splice");
+        journal.close().expect("journal closes");
+        assert_eq!(chain_boundaries(&path, row), [2, 4], "{context}: spliced");
+        let before = std::fs::read(&path).expect("journal exists");
+
+        // The chain does not link: the row reruns from the start — `Ok`,
+        // not `Resumed` — and still matches bit for bit.
+        let resumed = run(&path, workers, None);
+        assert!(resumed.is_complete(), "{context}: {}", resumed.summary());
+        assert_eq!(resumed.rows[row].outcome, Outcome::Ok, "{context}");
+        assert_outputs_bit_identical(&reference, &resumed, &context);
+        assert_prefix_kept(&path, &before, &context);
+        let _ = std::fs::remove_file(&path);
+    }
+}
+
+//= pftk#crash-resume type=test
+#[test]
+fn undecodable_completion_reruns_its_row() {
+    let ref_path = journal_path("undecodable-reference");
+    let reference = run(&ref_path, 2, None);
+    assert!(reference.is_complete(), "{}", reference.summary());
+    let ref_records = journal::replay(&ref_path)
+        .expect("journal readable")
+        .records;
+    let _ = std::fs::remove_file(&ref_path);
+
+    // Two completions whose framing and CRC are sound but whose result is
+    // not JSON.
+    let garbled = [1u64, JOBS as u64 - 2];
+    for workers in worker_counts() {
+        let context = format!("{workers} workers");
+        let path = journal_path(&format!("undecodable-w{workers}"));
+        let journal = Journal::open(&path).expect("journal opens");
+        for rec in &ref_records {
+            let rec = match rec {
+                CampaignRecord::AttemptDone {
+                    job_index,
+                    label,
+                    seed,
+                    resumed,
+                    ..
+                } if garbled.contains(job_index) => CampaignRecord::AttemptDone {
+                    job_index: *job_index,
+                    label: label.clone(),
+                    seed: *seed,
+                    resumed: *resumed,
+                    result_json: b"{\"stream\": not json".to_vec(),
+                },
+                other => other.clone(),
+            };
+            journal.append(rec.encode());
+        }
+        journal.close().expect("journal closes");
+        let before = std::fs::read(&path).expect("journal exists");
+        let replayed = journal::replay(&path).expect("journal readable");
+        assert!(!replayed.torn_tail, "{context}: spliced journal is whole");
+        assert_eq!(replayed.fold().done.len(), JOBS, "{context}");
+
+        let rerun = run(&path, workers, None);
+        assert!(rerun.is_complete(), "{context}: {}", rerun.summary());
+        assert_outputs_bit_identical(&reference, &rerun, &context);
+        assert_prefix_kept(&path, &before, &context);
+        // Exactly the garbled rows reran: the journal gained one new
+        // completion for each of them and none for any other row.
+        let mut appended: Vec<u64> = journal::replay(&path).expect("journal readable").records
+            [ref_records.len()..]
+            .iter()
+            .filter_map(|r| match r {
+                CampaignRecord::AttemptDone { job_index, .. } => Some(*job_index),
+                CampaignRecord::Checkpoint(_) => None,
+            })
+            .collect();
+        appended.sort_unstable();
+        assert_eq!(appended, garbled, "{context}: rerun rows");
+        let _ = std::fs::remove_file(&path);
+    }
 }
