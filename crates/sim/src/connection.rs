@@ -365,14 +365,15 @@ impl<O: Observer, K: EngineKind> Connection<O, K> {
             self.apply_sender_output(&out);
             self.sender_out = out;
         }
-        while let Some(at) = self.queue.peek_time() {
-            if at > until {
-                break;
-            }
-            if self.events_processed >= max_events {
+        loop {
+            // The budget aborts only while an event at or before `until`
+            // is pending; otherwise the slice simply ends.
+            if self.events_processed >= max_events
+                && self.queue.peek_time().is_some_and(|at| at <= until)
+            {
                 return true;
             }
-            let Some((at, ev)) = self.queue.pop() else {
+            let Some((at, ev)) = self.queue.pop_until(until) else {
                 break;
             };
             self.now = at;

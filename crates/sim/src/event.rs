@@ -71,6 +71,17 @@ pub trait EventScheduler<E>: Default {
     fn pop(&mut self) -> Option<(SimTime, E)>;
     /// The timestamp of the earliest pending event.
     fn peek_time(&self) -> Option<SimTime>;
+    /// Removes and returns the earliest event if it fires at or before
+    /// `until`; otherwise leaves the queue untouched and returns `None`.
+    /// The default peeks then pops; a queue whose peek is a scan overrides
+    /// it to scan once.
+    #[inline]
+    fn pop_until(&mut self, until: SimTime) -> Option<(SimTime, E)> {
+        if self.peek_time()? > until {
+            return None;
+        }
+        self.pop()
+    }
     /// Number of pending events.
     fn len(&self) -> usize;
     /// True when no events are pending.
@@ -275,6 +286,19 @@ impl<E> HybridQueue<E> {
         best
     }
 
+    /// Removes the front event of `src` (the source [`Self::min_key`]
+    /// named).
+    #[inline]
+    fn pop_from(&mut self, src: Src) -> Option<(SimTime, E)> {
+        match src {
+            Src::Data => self.data.pop_front().map(|e| (e.at, e.payload)),
+            Src::Ack => self.ack.pop_front().map(|e| (e.at, e.payload)),
+            Src::Rto => self.rto.take().map(|e| (e.at, e.payload)),
+            Src::DelAck => self.delack.take().map(|e| (e.at, e.payload)),
+            Src::Heap => self.heap.pop().map(|e| (e.key.0 .0, e.payload)),
+        }
+    }
+
     /// Writes the queue's full state — every pending event with its
     /// `(time, id)` key plus the id counter — using `enc` to serialize
     /// payloads. Heap entries are emitted sorted by key so the byte
@@ -410,12 +434,15 @@ impl<E> EventScheduler<E> for HybridQueue<E> {
 
     #[inline]
     fn pop(&mut self) -> Option<(SimTime, E)> {
+        let (_, _, src) = self.min_key()?;
+        self.pop_from(src)
+    }
+
+    #[inline]
+    fn pop_until(&mut self, until: SimTime) -> Option<(SimTime, E)> {
         match self.min_key()? {
-            (_, _, Src::Data) => self.data.pop_front().map(|e| (e.at, e.payload)),
-            (_, _, Src::Ack) => self.ack.pop_front().map(|e| (e.at, e.payload)),
-            (_, _, Src::Rto) => self.rto.take().map(|e| (e.at, e.payload)),
-            (_, _, Src::DelAck) => self.delack.take().map(|e| (e.at, e.payload)),
-            (_, _, Src::Heap) => self.heap.pop().map(|e| (e.key.0 .0, e.payload)),
+            (at, _, _) if at > until => None,
+            (_, _, src) => self.pop_from(src),
         }
     }
 

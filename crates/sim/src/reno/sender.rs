@@ -352,9 +352,16 @@ impl Sender {
             let newly_acked = ack.ack - self.snd_una;
             self.snd_una = ack.ack;
             self.dupacks = 0;
-            //~ allow(hot_alloc): split_off allocates one root node; trees bounded by the flight window
-            self.scoreboard = self.scoreboard.split_off(&self.snd_una);
-            self.rexmitted = self.rexmitted.split_off(&self.snd_una); //~ allow(hot_alloc): split_off allocates one root node; trees bounded by the flight window
+            // Both sets stay empty outside SACK style; skip the split (and
+            // the drop of the emptied tree) there.
+            if !self.scoreboard.is_empty() {
+                //~ allow(hot_alloc): split_off allocates one root node; trees bounded by the flight window
+                self.scoreboard = self.scoreboard.split_off(&self.snd_una);
+            }
+            if !self.rexmitted.is_empty() {
+                //~ allow(hot_alloc): split_off allocates one root node; trees bounded by the flight window
+                self.rexmitted = self.rexmitted.split_off(&self.snd_una);
+            }
             if let Some(limit) = self.config.data_limit {
                 if self.snd_una >= limit && self.completed_at.is_none() {
                     self.completed_at = Some(now);

@@ -3,10 +3,10 @@
 //! A journaled campaign appends two kinds of records to a single
 //! append-only file while it runs:
 //!
-//! * **`AttemptDone`** — a completed experiment (label, seed, and the full
-//!   serialized [`crate::experiment::ExperimentResult`]), written with an
-//!   `fsync` before the supervisor reports the row, so a completed attempt
-//!   is never lost or recomputed;
+//! * **`AttemptDone`** — a completed experiment (label, seed, and the
+//!   exact binary image of its [`crate::experiment::ExperimentResult`]),
+//!   written with an `fsync` before the supervisor reports the row, so a
+//!   completed attempt is never lost or recomputed;
 //! * **`Checkpoint`** — periodic in-flight state (the simulator's
 //!   [`Connection::snapshot`](tcp_sim::connection::Connection::snapshot)
 //!   plus the streaming analyzer's delta since the attempt's previous
@@ -63,7 +63,13 @@ pub enum CampaignRecord {
         seed: u64,
         /// True when the attempt itself resumed from a checkpoint.
         resumed: bool,
-        /// `serde_json`-serialized `ExperimentResult`.
+        /// The [`ExperimentResult::encode`] bytes. The name predates the
+        /// binary codec: older builds wrote `serde_json` text here, which
+        /// fails [`ExperimentResult::decode`]'s frame check, so such a row
+        /// reruns.
+        ///
+        /// [`ExperimentResult::encode`]: crate::experiment::ExperimentResult::encode
+        /// [`ExperimentResult::decode`]: crate::experiment::ExperimentResult::decode
         result_json: Vec<u8>,
     },
     /// In-flight state of a running attempt at a checkpoint boundary.
@@ -217,7 +223,10 @@ pub struct DoneAttempt {
     pub seed: u64,
     /// Whether that attempt had itself resumed from a checkpoint.
     pub resumed: bool,
-    /// `serde_json`-serialized `ExperimentResult`.
+    /// The [`ExperimentResult::encode`] bytes (see
+    /// [`CampaignRecord::AttemptDone`]).
+    ///
+    /// [`ExperimentResult::encode`]: crate::experiment::ExperimentResult::encode
     pub result_json: Vec<u8>,
 }
 

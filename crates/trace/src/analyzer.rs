@@ -47,7 +47,10 @@ pub struct LossIndication {
 }
 
 impl LossIndication {
-    pub(crate) fn snapshot_into(&self, w: &mut SnapWriter) {
+    /// Writes the indication: its time, a kind byte (0 TD, 1 timeout) and,
+    /// for a timeout, the sequence length. Field order is part of the
+    /// analyzer snapshot and result formats (DESIGN.md §13).
+    pub fn snapshot_into(&self, w: &mut SnapWriter) {
         w.put_u64(self.time_ns);
         match self.kind {
             IndicationKind::TripleDuplicate => w.put_u8(0),
@@ -58,7 +61,9 @@ impl LossIndication {
         }
     }
 
-    pub(crate) fn restore_from(r: &mut SnapReader<'_>) -> SnapResult<LossIndication> {
+    /// Reads an indication written by [`Self::snapshot_into`]; an unknown
+    /// kind byte is [`SnapError::Invalid`].
+    pub fn restore_from(r: &mut SnapReader<'_>) -> SnapResult<LossIndication> {
         let time_ns = r.get_u64()?;
         let kind = match r.get_u8()? {
             0 => IndicationKind::TripleDuplicate,

@@ -565,3 +565,79 @@ fn undecodable_completion_reruns_its_row() {
         let _ = std::fs::remove_file(&path);
     }
 }
+
+//= pftk#crash-resume type=test
+#[test]
+fn legacy_json_completion_reruns_its_row() {
+    let ref_path = journal_path("legacy-reference");
+    let reference = run(&ref_path, 2, None);
+    assert!(reference.is_complete(), "{}", reference.summary());
+    let ref_records = journal::replay(&ref_path)
+        .expect("journal readable")
+        .records;
+    let _ = std::fs::remove_file(&ref_path);
+
+    // One completion as a build that journaled JSON wrote it: sound
+    // framing and CRC, and the row's real result as `serde_json` text.
+    let legacy = 2u64;
+    let legacy_body = serde_json::to_string(
+        reference.rows[legacy as usize]
+            .result
+            .as_ref()
+            .expect("reference row has a result"),
+    )
+    .expect("results serialise")
+    .into_bytes();
+    for workers in worker_counts() {
+        let context = format!("{workers} workers");
+        let path = journal_path(&format!("legacy-w{workers}"));
+        let journal = Journal::open(&path).expect("journal opens");
+        for rec in &ref_records {
+            let rec = match rec {
+                CampaignRecord::AttemptDone {
+                    job_index,
+                    label,
+                    seed,
+                    resumed,
+                    ..
+                } if *job_index == legacy => CampaignRecord::AttemptDone {
+                    job_index: *job_index,
+                    label: label.clone(),
+                    seed: *seed,
+                    resumed: *resumed,
+                    result_json: legacy_body.clone(),
+                },
+                other => other.clone(),
+            };
+            journal.append(rec.encode());
+        }
+        journal.close().expect("journal closes");
+        let before = std::fs::read(&path).expect("journal exists");
+        assert_eq!(
+            journal::replay(&path)
+                .expect("journal readable")
+                .fold()
+                .done
+                .len(),
+            JOBS,
+            "{context}"
+        );
+
+        let rerun = run(&path, workers, None);
+        assert!(rerun.is_complete(), "{context}: {}", rerun.summary());
+        assert_outputs_bit_identical(&reference, &rerun, &context);
+        assert_prefix_kept(&path, &before, &context);
+        // Only the JSON row reran; every other row replayed, so the
+        // journal gained exactly one completion.
+        let appended: Vec<u64> = journal::replay(&path).expect("journal readable").records
+            [ref_records.len()..]
+            .iter()
+            .filter_map(|r| match r {
+                CampaignRecord::AttemptDone { job_index, .. } => Some(*job_index),
+                CampaignRecord::Checkpoint(_) => None,
+            })
+            .collect();
+        assert_eq!(appended, [legacy], "{context}: rerun rows");
+        let _ = std::fs::remove_file(&path);
+    }
+}
