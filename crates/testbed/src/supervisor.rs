@@ -231,6 +231,10 @@ fn attempt(pool: &WorkerPool, job: &Job, seed: u64, budget: Duration) -> Attempt
     let job = Arc::clone(job);
     let handle = pool.submit(move || {
         let outcome = catch_unwind(AssertUnwindSafe(|| job(seed)));
+        // Release the job (and whatever it holds, such as a campaign's
+        // journal handle) before reporting, so a caller that has the
+        // outcome never races the worker for the job's last reference.
+        drop(job);
         let _ = tx.send(outcome);
     });
     match rx.recv_timeout(budget) {
@@ -524,5 +528,48 @@ mod tests {
         assert!(report.is_complete());
         assert_eq!(report.failures().count(), 0);
         assert_eq!(report.summary(), "1/1 ok");
+    }
+
+    /// A campaign's jobs can hold resources that must be released before
+    /// the caller goes on (a journal's writer thread, whose last fsync
+    /// would otherwise run after the campaign returned). Once a row is
+    /// reported, the pool worker must no longer hold its job.
+    #[test]
+    fn a_reported_attempt_no_longer_holds_its_job() {
+        for round in 0..200u64 {
+            let token = Arc::new(());
+            let (ok, bad) = (Arc::clone(&token), Arc::clone(&token));
+            let jobs = vec![
+                JobSpec {
+                    label: "finishes".into(),
+                    seed: round,
+                    job: Arc::new(move |seed| {
+                        let _held = &ok;
+                        fake_result(seed)
+                    }),
+                },
+                JobSpec {
+                    label: "panics".into(),
+                    seed: round,
+                    job: Arc::new(move |_seed| {
+                        let _held = &bad;
+                        panic!("injected experiment failure")
+                    }),
+                },
+            ];
+            let report = run_campaign(
+                jobs,
+                &SupervisorConfig {
+                    retry: false,
+                    ..quick_config()
+                },
+            );
+            assert_eq!(report.ok_count(), 1);
+            assert_eq!(
+                Arc::strong_count(&token),
+                1,
+                "round {round}: a job outlived its reported attempt"
+            );
+        }
     }
 }
